@@ -209,13 +209,16 @@ serving (JSON output):
   sem index verify --index index.snap
   sem index probe  --index index.snap [--check-store true] [--max-journal-entries N]
   sem index maintain --index index.snap [--compact] [--recluster] [--status]
+  sem index migrate --index index.snap
   sem ingest       --model model-dir --index index.snap --title T --abstract TEXT [--year Y] [--k K]
                    [--out index.snap] [--metrics-out metrics.json]
 
-index files are crash-safe snapshots (checksummed header + atomic rename)
-with a write-ahead journal alongside (<index>.journal); `index verify`
-checks both and `index query`/`ingest` recover to the last durable state
-automatically. `--deadline-ms` bounds per-query latency: an exhausted
+index files are crash-safe binary snapshots (SEMSNAP v4: checksummed
+header + per-section checksums, atomic rename) with a write-ahead journal
+alongside (<index>.journal); `index verify` checks both and `index
+query`/`ingest` recover to the last durable state automatically. Stores
+written before v4 (JSON payloads) are converted once, offline, with
+`index migrate`. `--deadline-ms` bounds per-query latency: an exhausted
 budget returns a partial result flagged degraded instead of blocking.
 
 `--shards N` (N > 1) builds a sharded family — `<out>.shard0..N-1` plus

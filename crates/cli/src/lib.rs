@@ -16,6 +16,7 @@
 //! sem index build  --model model-dir --out index.snap [--nlist N] [--nprobe N]
 //! sem index query  --model model-dir --index index.snap --paper ID[,ID...] [--k K] [--deadline-ms MS]
 //! sem index verify --index index.snap
+//! sem index migrate --index index.snap
 //! sem ingest       --model model-dir --index index.snap --title T --abstract TEXT [--year Y]
 //! ```
 //!
@@ -23,8 +24,8 @@
 //! `ingest`) speaks JSON on stdout and is backed by the `sem-serve` crate:
 //! an IVF-flat ANN index over SEM paper embeddings, a batched query engine
 //! with an LRU result cache, and incremental zero-citation-paper ingestion.
-//! Indexes live in crash-safe snapshots (checksummed header, atomic
-//! rename) with a write-ahead journal alongside: `ingest` fsyncs the
+//! Indexes live in crash-safe binary snapshots (checksummed sections,
+//! atomic rename) with a write-ahead journal alongside: `ingest` fsyncs the
 //! journal before acknowledging, loading replays it, `index verify`
 //! reports integrity, and `--deadline-ms` turns budget exhaustion into
 //! partial results flagged `degraded` instead of blocking.

@@ -1,9 +1,9 @@
-//! The serve-family commands: `index build`, `index query`, `index verify`
-//! and `ingest`.
+//! The serve-family commands: `index build`, `index query`, `index verify`,
+//! `index migrate` and `ingest`.
 //!
-//! All four speak JSON on stdout (they are meant to be scripted against)
+//! All of them speak JSON on stdout (they are meant to be scripted against)
 //! and share the model directory produced by `sem train`. The index file is
-//! a crash-safe [`IndexStore`] snapshot — checksummed header, atomic
+//! a crash-safe [`IndexStore`] snapshot — checksummed binary sections, atomic
 //! rename, write-ahead journal alongside — so `index query` and `ingest`
 //! recover to the last durable state automatically, `ingest` journals the
 //! new paper before acknowledging it, and `index verify` gives operators
@@ -60,10 +60,12 @@ impl FacetArgs {
     }
 }
 
-/// Dispatches `sem index <build|query|verify|probe|maintain> ...`.
+/// Dispatches `sem index <build|query|verify|probe|maintain|migrate> ...`.
 pub(crate) fn index(argv: &[String]) -> Result<String, CliError> {
     let Some(sub) = argv.first() else {
-        return Err(CliError("usage: sem index <build|query|verify|probe|maintain> ...".into()));
+        return Err(CliError(
+            "usage: sem index <build|query|verify|probe|maintain|migrate> ...".into(),
+        ));
     };
     if sub == "maintain" {
         // maintenance actions are valueless switches: presence means "do it"
@@ -76,6 +78,7 @@ pub(crate) fn index(argv: &[String]) -> Result<String, CliError> {
         "query" => index_query(&args),
         "verify" => index_verify(&args),
         "probe" => index_probe(&args),
+        "migrate" => index_migrate(&args),
         other => Err(CliError(format!("unknown index subcommand {other:?}"))),
     }
 }
@@ -187,6 +190,22 @@ fn index_verify(args: &Args) -> Result<String, CliError> {
     } else {
         Err(CliError(format!("index failed verification:\n{rendered}")))
     }
+}
+
+/// Report for `sem index migrate`: one entry per store converted (one per
+/// shard on a sharded family).
+#[derive(Serialize)]
+struct MigrateSummary {
+    stores: Vec<sem_serve::MigrateReport>,
+}
+
+/// `sem index migrate --index index.snap`: converts a pre-v4 store — bare
+/// JSON or SEMSNAP v1–v3, with any journal and side journal folded in —
+/// to the binary v4 snapshot format in place, offline. Sharded families are
+/// converted shard by shard; stores already at v4 are left untouched.
+fn index_migrate(args: &Args) -> Result<String, CliError> {
+    let path = args.required("index")?;
+    to_pretty(&MigrateSummary { stores: sem_serve::migrate(std::path::Path::new(path))? })
 }
 
 /// Report for `sem index probe`: per-shard health-probe outcomes, the
@@ -750,7 +769,7 @@ mod tests {
         let verified =
             run(&argv(&["index", "verify", "--index", index_path.to_str().unwrap()])).unwrap();
         assert!(verified.contains("\"ok\": true"), "{verified}");
-        assert!(verified.contains("\"format\": \"v3\""), "{verified}");
+        assert!(verified.contains("\"format\": \"v4\""), "{verified}");
         for facet in ["bg", "method", "result"] {
             assert!(verified.contains(&format!("\"name\": \"{facet}\"")), "{verified}");
         }
@@ -1157,12 +1176,38 @@ mod tests {
     #[test]
     fn verify_rejects_corruption() {
         let path = tmp("corrupt.snap");
-        // a file that is neither a v1 snapshot nor legacy JSON
         std::fs::write(&path, b"not a snapshot at all").unwrap();
         let err = run(&argv(&["index", "verify", "--index", path.to_str().unwrap()]))
             .unwrap_err()
             .to_string();
         assert!(err.contains("\"ok\": false"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `index migrate` converts a committed pre-v4 fixture in place; the
+    /// result verifies as v4, and a second run has nothing left to do.
+    #[test]
+    fn migrate_converts_a_legacy_store_then_is_a_no_op() {
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../serve/tests/fixtures/");
+        let path = tmp("migrate-v3.snap");
+        let index = path.to_str().unwrap();
+        for suffix in ["", ".journal", ".journal.side"] {
+            std::fs::copy(format!("{fixtures}v3.snap{suffix}"), format!("{index}{suffix}"))
+                .unwrap();
+        }
+        let err = run(&argv(&["index", "verify", "--index", index])).unwrap_err().to_string();
+        assert!(err.contains("sem index migrate"), "{err}");
+        let report = run(&argv(&["index", "migrate", "--index", index])).unwrap();
+        assert!(report.contains("\"from\": \"v3\""), "{report}");
+        assert!(report.contains("\"migrated\": true"), "{report}");
+        assert!(report.contains("\"count\": 45"), "{report}");
+        let verified = run(&argv(&["index", "verify", "--index", index])).unwrap();
+        assert!(verified.contains("\"ok\": true"), "{verified}");
+        assert!(verified.contains("\"format\": \"v4\""), "{verified}");
+        assert!(verified.contains("\"name\": \"vectors\""), "{verified}");
+        let again = run(&argv(&["index", "migrate", "--index", index])).unwrap();
+        assert!(again.contains("\"migrated\": false"), "{again}");
+        assert!(run(&argv(&["index", "migrate", "--index", "/nonexistent/index.snap"])).is_err());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -46,6 +46,8 @@ use serde::{Deserialize, Serialize};
 use crate::error::ServeError;
 use crate::facet::{FacetChecksum, FacetLayout};
 
+pub(crate) mod snapshot;
+
 /// Vectors scanned between deadline checks in flat (brute-force) mode —
 /// coarse enough that the `Instant::now` calls cost nothing against the
 /// scan itself, fine enough that an exhausted budget stops within
@@ -97,11 +99,10 @@ pub struct Hit {
 ///
 /// `layout` is facet metadata over the *same* flat vectors — the fused
 /// scan never looks at it, so attaching a layout cannot change stage-1
-/// results. `None` means "one fused segment" (what v1 snapshots and
-/// plain corpora carry); serde tolerates the field's absence, which is
-/// the v1→v2 read-path migration. `quant` follows the same pattern for
-/// v3: SQ8 codes + scales when quantized scan mode is enabled, absent on
-/// v1/v2 payloads and unquantized indexes.
+/// results. `None` means "one fused segment" (plain corpora). `quant`
+/// follows the same pattern: SQ8 codes + scales when quantized scan mode
+/// is enabled, absent otherwise. Both are optional in the JSON form too
+/// (serde tolerates their absence), which is how pre-v4 payloads read.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AnnIndex {
     config: IndexConfig,
@@ -852,39 +853,48 @@ impl AnnIndex {
     /// shapes.
     pub fn from_json(json: &str) -> Result<Self, String> {
         let idx: AnnIndex = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if idx.vectors.is_empty() {
+        idx.validate()?;
+        Ok(idx)
+    }
+
+    /// The shape invariants every index read from outside the process
+    /// must satisfy, shared by [`AnnIndex::from_json`] and the snapshot
+    /// decoder: consistent widths, cell entries in range, and layout and
+    /// SQ8 geometry that match the vectors.
+    fn validate(&self) -> Result<(), String> {
+        if self.vectors.is_empty() {
             return Err("index holds no vectors".into());
         }
-        if idx.vectors.iter().any(|v| v.len() != idx.dim)
-            || idx.centroids.iter().any(|c| c.len() != idx.dim)
+        if self.vectors.iter().any(|v| v.len() != self.dim)
+            || self.centroids.iter().any(|c| c.len() != self.dim)
         {
             return Err("inconsistent vector widths".into());
         }
-        if idx.centroids.len() != idx.lists.len() {
+        if self.centroids.len() != self.lists.len() {
             return Err("centroid/list count mismatch".into());
         }
-        let n = idx.vectors.len();
-        if idx.lists.iter().flatten().any(|&id| id >= n) {
+        let n = self.vectors.len();
+        if self.lists.iter().flatten().any(|&id| id >= n) {
             return Err("cell entry out of range".into());
         }
-        if let Some(layout) = &idx.layout {
-            if layout.dim() != idx.dim {
+        if let Some(layout) = &self.layout {
+            if layout.dim() != self.dim {
                 return Err(format!(
                     "facet layout covers {} elements but vectors are {}-wide",
                     layout.dim(),
-                    idx.dim
+                    self.dim
                 ));
             }
         }
-        if let Some(sq) = &idx.quant {
+        if let Some(sq) = &self.quant {
             if sq.widths.is_empty() || sq.widths.contains(&0) {
                 return Err("quant segment widths must be non-empty and positive".into());
             }
-            if sq.widths.iter().sum::<usize>() != idx.dim {
+            if sq.widths.iter().sum::<usize>() != self.dim {
                 return Err(format!(
                     "quant segments cover {} elements but vectors are {}-wide",
                     sq.widths.iter().sum::<usize>(),
-                    idx.dim
+                    self.dim
                 ));
             }
             if sq.scales.len() != sq.widths.len() {
@@ -894,12 +904,12 @@ impl AnnIndex {
                     sq.widths.len()
                 ));
             }
-            if sq.codes.len() != n * idx.dim {
+            if sq.codes.len() != n * self.dim {
                 return Err(format!(
                     "quant codes hold {} bytes for {} vectors of width {}",
                     sq.codes.len(),
                     n,
-                    idx.dim
+                    self.dim
                 ));
             }
             if sq.scales.iter().any(|s| !s.min.is_finite() || !s.delta.is_finite() || s.delta < 0.0)
@@ -910,7 +920,7 @@ impl AnnIndex {
                 return Err("quant rescore depth must be positive".into());
             }
         }
-        Ok(idx)
+        Ok(())
     }
 }
 

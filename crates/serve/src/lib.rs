@@ -17,10 +17,11 @@
 //!   normalised query, invalidates precisely the entries an ingested paper
 //!   could change, enforces per-request deadlines with graceful
 //!   degradation, and exposes per-stage latency/throughput counters.
-//! * [`IndexStore`] is crash-safe persistence: versioned checksummed
-//!   snapshots written atomically, plus a write-ahead journal so every
-//!   acknowledged ingest survives a crash; [`FaultPlan`] drives
-//!   deterministic fault-injection tests of exactly those guarantees.
+//! * [`IndexStore`] is crash-safe persistence: checksummed binary
+//!   snapshots (SEMSNAP v4) written atomically, plus a write-ahead journal
+//!   so every acknowledged ingest survives a crash; [`FaultPlan`] drives
+//!   deterministic fault-injection tests of exactly those guarantees, and
+//!   [`migrate()`] converts pre-v4 (JSON) stores offline.
 //! * [`ShardRouter`] scales the query path out: the corpus is partitioned
 //!   round-robin across N [`Shard`]s, each with its own index, LRU cache
 //!   and crash-safe store; queries fan out shard-parallel and merge via a
@@ -60,6 +61,7 @@ pub mod fault;
 pub mod index;
 pub mod loadgen;
 pub mod maintenance;
+pub mod migrate;
 pub mod rerank;
 pub mod router;
 pub mod shard;
@@ -87,6 +89,7 @@ pub use loadgen::{
 pub use maintenance::{
     DrainReport, IngestQueue, Maintainer, MaintainerStatus, MaintenanceConfig, TickReport,
 };
+pub use migrate::{migrate, migrate_store, MigrateReport};
 pub use router::{
     manifest_path, shard_snapshot_path, verify_sharded, HedgeConfig, RouterStatsSnapshot,
     ShardManifest, ShardRouter, ShardVerifyEntry, ShardedVerifyReport,

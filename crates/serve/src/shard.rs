@@ -239,29 +239,19 @@ pub struct MaintenanceStatus {
 }
 
 /// Replays `(seq, raw_vector)` side-journal records into `clone` under
-/// recovery's idempotency rule: seqs the clone already holds are skipped,
-/// the next seq is inserted, a gap is a replay error. Returns how many
-/// records were inserted.
+/// recovery's idempotency rule ([`crate::store::replay_record`]): seqs
+/// the clone already holds are skipped, the next seq is inserted, a gap
+/// is a replay error. Returns how many records were inserted.
 fn fold_side_records(
     clone: &mut AnnIndex,
     records: Vec<(usize, Vec<f32>)>,
 ) -> Result<usize, ServeError> {
     let mut folded = 0usize;
-    for (record_no, (seq, vector)) in records.into_iter().enumerate() {
-        let n = clone.len();
-        if seq < n {
-            continue; // folded by an earlier round
-        }
-        if seq > n {
-            return Err(ServeError::JournalReplay {
-                record: record_no,
-                detail: format!("side-journal sequence gap: record {seq} onto {n} vectors"),
-            });
-        }
-        clone
-            .try_insert(vector)
-            .map_err(|e| ServeError::JournalReplay { record: record_no, detail: e.to_string() })?;
-        folded += 1;
+    for (record, (seq, vector)) in records.into_iter().enumerate() {
+        folded += usize::from(
+            crate::store::replay_record(clone, seq as u64, vector)
+                .map_err(|detail| ServeError::JournalReplay { record, detail })?,
+        );
     }
     Ok(folded)
 }
@@ -580,7 +570,7 @@ impl Shard {
             drop(store);
             fold_side_records(&mut clone, records)?
         };
-        let mut bytes = crate::store::encode_snapshot(&clone)?;
+        let mut bytes = crate::index::snapshot::encode(&clone)?;
         // step 3: pause ingest (state read lock blocks writers only),
         // catch up on the records step 2 raced with, commit
         let guard = self.state.read();
@@ -595,7 +585,7 @@ impl Shard {
         let pause_catchup = fold_side_records(&mut clone, store_ref.side_records()?)?;
         if pause_catchup > 0 {
             folded += pause_catchup;
-            bytes = crate::store::encode_snapshot(&clone)?;
+            bytes = crate::index::snapshot::encode(&clone)?;
         }
         store_ref.commit_online_compaction(&bytes)?;
         let pause_us = t0.elapsed().as_micros() as u64;

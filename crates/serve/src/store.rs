@@ -1,51 +1,42 @@
-//! Crash-safe index persistence: versioned checksummed snapshots plus a
+//! Crash-safe index persistence: checksummed binary snapshots plus a
 //! write-ahead journal.
 //!
-//! **Snapshot format.** A fixed 44-byte header — magic `SEMSNAP1`,
-//! format version, vector width, cell count, vector count, payload length,
-//! payload CRC32 and a CRC32 over the header itself — followed by the JSON
-//! payload. Snapshots are written to a temp file in the same directory,
-//! fsynced, atomically renamed over the target and the directory fsynced,
-//! so a crash at any point leaves either the old snapshot or the new one,
-//! never a half-written hybrid. Torn or bit-flipped snapshots fail the
-//! checksum and are **rejected**, never silently loaded. Legacy plain-JSON
-//! snapshots (pre-v1) are still readable.
+//! **Snapshot.** SEMSNAP v4 (DESIGN.md §9.1): a checksummed header with a
+//! section table over 8-byte-aligned, individually checksummed binary
+//! sections. Written to a temp file in the same directory, fsynced,
+//! atomically renamed over the target and the directory fsynced, so a
+//! crash at any point leaves either the old snapshot or the new one.
+//! Torn or bit-flipped snapshots fail a checksum and are **rejected**,
+//! never silently loaded. This is the only format the store reads or
+//! writes; bare-JSON and v1–v3 stores are refused with an error naming
+//! the offline converter, `sem index migrate` ([`mod@crate::migrate`]).
 //!
-//! **Versions.** v3 (current) extends the JSON payload with the optional
-//! SQ8 quantization sidecar (per-segment scales plus the u8 code matrix);
-//! the header and framing are unchanged. v2 added the optional facet
-//! layout ([`crate::facet::FacetLayout`]); v1 is the original fused
-//! format. Both load via read-path migrations — absent fields
-//! deserialise to the fused, unquantized defaults — and the next
-//! [`IndexStore::save_snapshot`] rewrites them as v3. Writes always emit
-//! v3; versions above v3 are rejected, never guessed at.
+//! **Journal.** Each acknowledged ingest appends one frame — `len u32 |
+//! crc32 u32 | payload`, little-endian, payload the record as JSON text
+//! (`{"seq":…,"vector":[…]}`, the framing and payload every earlier store
+//! version wrote, so their journals replay as they are) — and fsyncs
+//! before reporting durability. Recovery loads the snapshot and
+//! replays the journal in order; a torn tail (partial final record) is
+//! discarded — it was never acknowledged — while corruption *before*
+//! valid records is an error, because it would silently drop acknowledged
+//! data. Records whose `seq` precedes the snapshot's vector count are
+//! skipped, which makes replay idempotent when a crash lands between the
+//! snapshot rename and the journal truncation. Saving a snapshot compacts
+//! the journal back to empty.
 //!
-//! **Journal.** Each acknowledged ingest appends one length+CRC framed
-//! record (`{seq, vector}`) and fsyncs before reporting durability, so
-//! every acknowledged ingest survives a crash. Recovery loads the snapshot
-//! and replays the journal in order; a torn tail (partial final record) is
-//! discarded — those records were never acknowledged — while corruption
-//! *before* valid records is an error, because it would silently drop
-//! acknowledged data. Records whose `seq` precedes the snapshot's vector
-//! count are skipped, which makes replay idempotent when a crash lands
-//! between the snapshot rename and the journal truncation. Saving a
-//! snapshot compacts the journal back to empty.
-//!
-//! **Online compaction.** [`IndexStore::save_snapshot`] blocks ingest for
-//! the whole encode+write, which a live-maintenance deployment cannot
-//! afford. The online protocol splits the work:
-//! [`IndexStore::begin_online_compaction`] flushes the batch buffer and
-//! redirects subsequent appends to a *side journal*
-//! (`<snapshot>.journal.side`, same frame format) so ingest continues
-//! while the caller encodes a point-in-time clone off-lock; the side
-//! records are then replayed into the clone
-//! ([`IndexStore::side_records`]) and
+//! **Online compaction.** [`IndexStore::begin_online_compaction`] flushes
+//! the batch buffer and redirects appends to a *side journal*
+//! (`<snapshot>.journal.side`) so ingest continues while the caller
+//! encodes a point-in-time clone off-lock; the side records are replayed
+//! into the clone ([`IndexStore::side_records`]) and
 //! [`IndexStore::commit_online_compaction`] renames the fresh snapshot in
-//! and deletes first the main journal, then the side journal. Every step
-//! is crash-safe by seq-idempotent replay — [`IndexStore::load`] replays
-//! the main journal and then the side journal, skipping records the
-//! snapshot already holds — and every step has a [`FaultPlan`] crash
-//! point proving it.
+//! and deletes first the main journal, then the side journal.
+//! [`IndexStore::load`] replays main then side, skipping records the
+//! snapshot already holds, so every step is crash-safe — and has a
+//! [`FaultPlan`] crash point proving it. A side journal that outlives its
+//! compaction (a crash or a failed commit) stays the append target until
+//! the next snapshot retires it, so records always replay in the order
+//! they were written.
 
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -59,20 +50,19 @@ use sem_train::retry::{retry, RetryPolicy};
 use serde::{Deserialize, Serialize};
 
 use crate::error::ServeError;
+use crate::facet::FacetChecksum;
 use crate::fault::{CrashPoint, FaultPlan};
+pub use crate::index::snapshot::SectionReport;
+use crate::index::snapshot::{self, u32_at};
 use crate::index::AnnIndex;
 
-const MAGIC: &[u8; 8] = b"SEMSNAP1";
-/// Newest snapshot format this build writes; every version from 1 up to
-/// here is readable (v1 payloads lack the facet layout, v1/v2 lack the
-/// SQ8 quantization sidecar).
-const FORMAT_VERSION: u32 = 3;
-const HEADER_LEN: usize = 44;
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const CRC_TABLE: [u32; 256] = crc_table();
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -81,29 +71,42 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3) of `bytes`.
+/// CRC-32 (IEEE 802.3) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-fn read_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
-}
-
-fn read_u64(b: &[u8], at: usize) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(a)
 }
 
 /// Whether an append has reached disk or still sits in the batch buffer.
@@ -144,13 +147,14 @@ pub struct Recovery {
 }
 
 /// Snapshot half of a [`VerifyReport`].
-#[derive(Debug, Serialize)]
+#[derive(Debug, Default, Serialize)]
 pub struct SnapshotReport {
     /// Snapshot file path.
     pub path: String,
-    /// `"v3"`, `"v2"`, `"v1"`, `"legacy-json"`, `"missing"` or `"corrupt"`.
+    /// `"v4"`, `"missing"` or `"corrupt"` (which includes every legacy
+    /// format: the error names `sem index migrate`).
     pub format: String,
-    /// Format version from the header (headered snapshots only).
+    /// Format version from the header (0 without the snapshot magic).
     pub version: u32,
     /// Vector width from the header.
     pub dim: usize,
@@ -158,25 +162,28 @@ pub struct SnapshotReport {
     pub nlist: usize,
     /// Vector count from the header.
     pub count: u64,
-    /// Header checksum verdict.
+    /// Header checksum and section-table verdict.
     pub header_ok: bool,
-    /// Payload checksum verdict.
+    /// `true` when every section checksum matches.
     pub payload_ok: bool,
     /// Total file size in bytes.
     pub bytes: u64,
+    /// Per-section checksum verdicts (empty until the header parses).
+    pub sections: Vec<SectionReport>,
     /// Per-facet segment checksums from the decoded payload (empty until
-    /// every integrity check passes). Fused/v1 stores report the single
+    /// every integrity check passes). Fused stores report the single
     /// `fused` segment.
-    pub facets: Vec<crate::facet::FacetChecksum>,
+    pub facets: Vec<FacetChecksum>,
     /// Per-segment checksums over the SQ8 code matrix (empty for
     /// unquantized stores or until every integrity check passes).
-    pub quant: Vec<crate::facet::FacetChecksum>,
+    pub quant: Vec<FacetChecksum>,
     /// First failed check, when any.
     pub error: Option<String>,
 }
 
-/// Journal half of a [`VerifyReport`].
-#[derive(Debug, Serialize)]
+/// Journal half of a [`VerifyReport`]: what one pass over a journal file
+/// saw.
+#[derive(Debug, Default, Serialize)]
 pub struct JournalReport {
     /// Journal file path.
     pub path: String,
@@ -186,9 +193,12 @@ pub struct JournalReport {
     pub valid_records: usize,
     /// Journal size in bytes.
     pub bytes: u64,
-    /// A partial final record was found (tolerated on recovery).
+    /// A partial or checksum-failing *final* record was found: a torn
+    /// write of a record that was never acknowledged (tolerated on
+    /// recovery).
     pub torn_tail: bool,
-    /// Corruption *before* valid records (fatal on recovery), when any.
+    /// Corruption *before* valid records, or a record that cannot be
+    /// replayed (fatal on recovery), when any.
     pub error: Option<String>,
 }
 
@@ -200,7 +210,7 @@ pub struct VerifyReport {
     /// Journal checks.
     pub journal: JournalReport,
     /// Side-journal checks (present only while an online compaction is in
-    /// flight or was interrupted by a crash; normally absent).
+    /// flight or was interrupted; normally absent).
     pub side_journal: JournalReport,
     /// Journal tail length: records across both journals whose `seq` is
     /// at or past the snapshot's vector count — i.e. entries since the
@@ -213,13 +223,16 @@ pub struct VerifyReport {
 }
 
 /// Pre-registered handles for the store's observability: journal traffic,
-/// fsync latency, snapshot writes and recovery behaviour. `None` until a
-/// registry is attached — instrumentation must cost nothing when unused.
+/// fsync latency, snapshot writes (time next to bytes written) and
+/// recovery behaviour. `None` until a registry is attached —
+/// instrumentation must cost nothing when unused.
 struct StoreMetrics {
     journal_appends: Arc<Counter>,
     journal_flushes: Arc<Counter>,
+    journal_bytes: Arc<Counter>,
     fsync_ns: Arc<Histogram>,
     snapshot_saves: Arc<Counter>,
+    snapshot_bytes: Arc<Counter>,
     snapshot_save_ns: Arc<Histogram>,
     compactions: Arc<Counter>,
     loads: Arc<Counter>,
@@ -233,8 +246,10 @@ impl StoreMetrics {
         StoreMetrics {
             journal_appends: registry.counter("store.journal.appends"),
             journal_flushes: registry.counter("store.journal.flushes"),
+            journal_bytes: registry.counter("store.journal.bytes"),
             fsync_ns: registry.histogram("store.journal.fsync.ns"),
             snapshot_saves: registry.counter("store.snapshot.saves"),
+            snapshot_bytes: registry.counter("store.snapshot.bytes"),
             snapshot_save_ns: registry.histogram("store.snapshot.save.ns"),
             compactions: registry.counter("store.journal.compactions"),
             loads: registry.counter("store.loads"),
@@ -252,8 +267,10 @@ pub struct IndexStore {
     snapshot_path: PathBuf,
     journal_path: PathBuf,
     side_path: PathBuf,
-    /// `true` while an online compaction is in flight: appends land in the
-    /// side journal instead of the main one.
+    /// `true` while appends land in the side journal instead of the main
+    /// one: from [`IndexStore::begin_online_compaction`] (or from opening
+    /// a store whose side journal outlived a crash) until the next
+    /// snapshot retires both journals.
     side_mode: bool,
     flush_every: usize,
     buffer: Vec<u8>,
@@ -265,16 +282,20 @@ pub struct IndexStore {
 }
 
 impl IndexStore {
-    /// A store over `snapshot_path`; the journal lives alongside it.
+    /// A store over `snapshot_path`; the journal lives alongside it. When
+    /// an interrupted online compaction left a side journal behind, it
+    /// stays the append target: its records are newer than everything in
+    /// the main journal, so appending to the main journal again would
+    /// replay out of order.
     pub fn open(snapshot_path: impl Into<PathBuf>) -> Self {
         let snapshot_path = snapshot_path.into();
         let journal_path = journal_path_for(&snapshot_path);
         let side_path = side_journal_path_for(&snapshot_path);
         IndexStore {
+            side_mode: side_path.exists(),
             snapshot_path,
             journal_path,
             side_path,
-            side_mode: false,
             flush_every: 1,
             buffer: Vec::new(),
             buffered: 0,
@@ -330,8 +351,9 @@ impl IndexStore {
         &self.side_path
     }
 
-    /// `true` while an online compaction is in flight (appends are landing
-    /// in the side journal).
+    /// `true` while appends are landing in the side journal (an online
+    /// compaction is in flight, or one was interrupted and not yet
+    /// retried).
     pub fn compacting(&self) -> bool {
         self.side_mode
     }
@@ -356,43 +378,53 @@ impl IndexStore {
         Ok(())
     }
 
+    fn crash(&mut self, point: CrashPoint) -> ServeError {
+        self.crashed = true;
+        ServeError::InjectedCrash(point.name())
+    }
+
     /// Atomically persists `index` and compacts the journal.
     ///
     /// # Errors
-    /// IO failures, serialisation failures, or an armed fault firing.
+    /// IO failures, an index too large for the format, or an armed fault
+    /// firing.
     pub fn save_snapshot(&mut self, index: &AnnIndex) -> Result<(), ServeError> {
         self.check_alive()?;
         let t0 = Instant::now();
-        let bytes = encode_snapshot(index)?;
+        let bytes = snapshot::encode(index)?;
+        self.install_snapshot(&bytes, t0)
+    }
+
+    /// Makes `bytes` the live snapshot — temp file, fsync, atomic rename,
+    /// directory fsync — then retires the main journal and the side
+    /// journal, in that order. Each step has a crash point; all are
+    /// recoverable because replay skips records the snapshot already
+    /// holds.
+    fn install_snapshot(&mut self, bytes: &[u8], t0: Instant) -> Result<(), ServeError> {
         if let Some(survives) = self.plan.torn_write_survives(bytes.len()) {
             // a real torn write: only a prefix of the temp file reaches
             // disk and the rename never happens
             let tmp = tmp_path(&self.snapshot_path);
             std::fs::write(&tmp, &bytes[..survives]).map_err(|e| ServeError::io(&tmp, e))?;
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::SnapshotTempWrite.name()));
+            return Err(self.crash(CrashPoint::SnapshotTempWrite));
         }
-        write_atomic_retry(&self.snapshot_path, &bytes, &self.retry)
+        write_atomic_retry(&self.snapshot_path, bytes, &self.retry)
             .map_err(|e| ServeError::io(&self.snapshot_path, e))?;
         if self.plan.crash_before_journal_truncate {
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::BeforeJournalTruncate.name()));
+            return Err(self.crash(CrashPoint::BeforeJournalTruncate));
         }
-        // the snapshot now contains everything: compact the journal (and
-        // any side journal a crashed online compaction left behind)
+        // the snapshot now contains everything both journals hold
         self.buffer.clear();
         self.buffered = 0;
-        self.side_mode = false;
-        let mut compacted = false;
-        for path in [&self.journal_path, &self.side_path] {
-            if path.exists() {
-                compacted = true;
-                std::fs::remove_file(path).map_err(|e| ServeError::io(path, e))?;
-                fsync_parent_dir(path);
-            }
+        let mut compacted = remove_if_present(&self.journal_path)?;
+        if self.plan.crash_before_side_truncate {
+            return Err(self.crash(CrashPoint::BeforeSideJournalTruncate));
         }
+        compacted |= remove_if_present(&self.side_path)?;
+        self.side_mode = false;
         if let Some(m) = &self.metrics {
             m.snapshot_saves.inc();
+            m.snapshot_bytes.add(bytes.len() as u64);
             m.snapshot_save_ns.record(t0.elapsed().as_nanos() as u64);
             if compacted {
                 m.compactions.inc();
@@ -401,25 +433,26 @@ impl IndexStore {
         Ok(())
     }
 
-    /// Enters side-journal mode: the batch buffer is flushed to the main
-    /// journal, and every subsequent append lands in the side journal
-    /// while the caller compacts a point-in-time clone off-lock. Nothing
-    /// on disk is modified beyond the flush, so a crash here costs
-    /// nothing — recovery sees the old snapshot plus the main journal.
+    /// Enters side-journal mode: the batch buffer is flushed to the
+    /// current journal, and every subsequent append lands in the side
+    /// journal while the caller compacts a point-in-time clone off-lock.
+    /// Nothing on disk is modified beyond the flush, so a crash here
+    /// costs nothing — recovery sees the old snapshot plus the journals.
+    ///
+    /// Calling it while already in side-journal mode — a retry after a
+    /// failed commit, or a store opened over an interrupted compaction —
+    /// resumes: the side journal keeps its records (the caller's clone
+    /// already holds them, so [`IndexStore::side_records`] replays them
+    /// as skips) and the next commit retires it.
     ///
     /// # Errors
-    /// [`ServeError::Invalid`] when an online compaction is already in
-    /// flight; IO failures; an armed fault firing.
+    /// IO failures; an armed fault firing.
     pub fn begin_online_compaction(&mut self) -> Result<(), ServeError> {
         self.check_alive()?;
-        if self.side_mode {
-            return Err(ServeError::Invalid("online compaction already in progress".into()));
-        }
         self.flush_buffer()?;
         self.side_mode = true;
         if self.plan.crash_on_side_install {
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::SideJournalInstall.name()));
+            return Err(self.crash(CrashPoint::SideJournalInstall));
         }
         Ok(())
     }
@@ -438,49 +471,31 @@ impl IndexStore {
             return Err(ServeError::Invalid("no online compaction in progress".into()));
         }
         self.flush_buffer()?;
-        let journal = match std::fs::read(&self.side_path) {
-            Ok(j) => j,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(ServeError::io(&self.side_path, e)),
-        };
         let mut records = Vec::new();
-        let mut pos = 0usize;
-        while pos < journal.len() {
-            let Some((payload, next)) = frame_at(&journal, pos) else {
-                return Err(ServeError::JournalReplay {
-                    record: records.len(),
-                    detail: "partial side-journal frame while the store is live".into(),
-                });
-            };
-            if crc32(payload) != read_u32(&journal, pos + 4) {
-                return Err(ServeError::JournalReplay {
-                    record: records.len(),
-                    detail: "side-journal checksum mismatch while the store is live".into(),
-                });
-            }
-            let rec: JournalRecord = std::str::from_utf8(payload)
-                .ok()
-                .and_then(|t| serde_json::from_str(t).ok())
-                .ok_or_else(|| ServeError::JournalReplay {
-                    record: records.len(),
-                    detail: "bad side-journal payload".into(),
-                })?;
-            records.push((rec.seq as usize, rec.vector));
-            pos = next;
+        let walk = walk_journal(&self.side_path, |payload| {
+            let record = parse_record(payload)?;
+            records.push((record.seq as usize, record.vector));
+            Ok(())
+        })?;
+        match walk.error.or(walk.torn_tail.then(|| "partial final frame".into())) {
+            Some(detail) => Err(ServeError::JournalReplay {
+                record: walk.valid_records,
+                detail: format!("side journal of a live store: {detail}"),
+            }),
+            None => Ok(records),
         }
-        Ok(records)
     }
 
     /// Commits an online compaction: atomically renames the pre-encoded
     /// snapshot (which must already contain every side record — see
     /// [`IndexStore::side_records`]) over the live one, then deletes the
-    /// main journal and the side journal, in that order. Each step has a
-    /// crash point; all are recoverable because replay skips records the
-    /// snapshot already holds.
+    /// main journal and the side journal, in that order.
     ///
     /// The caller holds whatever lock blocks new appends for the duration
     /// of this call — it is the only "pause" the protocol takes, and it
-    /// does no encoding work.
+    /// does no encoding work. A failed commit leaves the store in
+    /// side-journal mode; retry from
+    /// [`IndexStore::begin_online_compaction`].
     ///
     /// # Errors
     /// [`ServeError::Invalid`] when no online compaction is in flight; IO
@@ -498,42 +513,7 @@ impl IndexStore {
                 "records appended between side_records() and commit".into(),
             ));
         }
-        let t0 = Instant::now();
-        if let Some(survives) = self.plan.torn_write_survives(bytes.len()) {
-            let tmp = tmp_path(&self.snapshot_path);
-            std::fs::write(&tmp, &bytes[..survives]).map_err(|e| ServeError::io(&tmp, e))?;
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::SnapshotTempWrite.name()));
-        }
-        write_atomic_retry(&self.snapshot_path, bytes, &self.retry)
-            .map_err(|e| ServeError::io(&self.snapshot_path, e))?;
-        if self.plan.crash_before_journal_truncate {
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::BeforeJournalTruncate.name()));
-        }
-        if self.journal_path.exists() {
-            std::fs::remove_file(&self.journal_path)
-                .map_err(|e| ServeError::io(&self.journal_path, e))?;
-            fsync_parent_dir(&self.journal_path);
-        }
-        if self.plan.crash_before_side_truncate {
-            self.crashed = true;
-            return Err(ServeError::InjectedCrash(CrashPoint::BeforeSideJournalTruncate.name()));
-        }
-        if self.side_path.exists() {
-            std::fs::remove_file(&self.side_path)
-                .map_err(|e| ServeError::io(&self.side_path, e))?;
-            fsync_parent_dir(&self.side_path);
-        }
-        self.side_mode = false;
-        self.buffer.clear();
-        self.buffered = 0;
-        if let Some(m) = &self.metrics {
-            m.snapshot_saves.inc();
-            m.snapshot_save_ns.record(t0.elapsed().as_nanos() as u64);
-            m.compactions.inc();
-        }
-        Ok(())
+        self.install_snapshot(bytes, Instant::now())
     }
 
     /// Appends one ingest record (`seq` = the id the index assigned,
@@ -549,7 +529,9 @@ impl IndexStore {
             serde_json::to_string(&JournalRecord { seq: seq as u64, vector: vector.to_vec() })
                 .map_err(|e| ServeError::Invalid(format!("journal record serialisation: {e}")))?
                 .into_bytes();
-        self.buffer.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        let len = u32::try_from(payload.len())
+            .map_err(|_| ServeError::Invalid("vector too wide for a journal frame".into()))?;
+        self.buffer.extend_from_slice(&len.to_le_bytes());
         self.buffer.extend_from_slice(&crc32(&payload).to_le_bytes());
         self.buffer.extend_from_slice(&payload);
         self.buffered += 1;
@@ -614,6 +596,7 @@ impl IndexStore {
         })?;
         if let Some(m) = &self.metrics {
             m.journal_flushes.inc();
+            m.journal_bytes.add(self.buffer.len() as u64);
             m.fsync_ns.record(fsync_ns);
         }
         self.buffer.clear();
@@ -633,72 +616,9 @@ impl IndexStore {
     pub fn load(&self) -> Result<Recovery, ServeError> {
         let bytes = std::fs::read(&self.snapshot_path)
             .map_err(|e| ServeError::io(&self.snapshot_path, e))?;
-        let mut index = decode_snapshot(&bytes, &self.snapshot_path)?;
-        let (mut replayed, mut skipped, mut discarded_tail) = (0usize, 0usize, false);
-        for path in [&self.journal_path, &self.side_path] {
-            let journal = match std::fs::read(path) {
-                Ok(j) => j,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(ServeError::io(path, e)),
-            };
-            let mut pos = 0usize;
-            let mut record_no = 0usize;
-            while pos < journal.len() {
-                let Some((payload, next)) = frame_at(&journal, pos) else {
-                    // partial frame at EOF: torn tail, never acknowledged
-                    discarded_tail = true;
-                    break;
-                };
-                let stored_crc = read_u32(&journal, pos + 4);
-                if crc32(payload) != stored_crc {
-                    if next == journal.len() {
-                        // final record, bad checksum: a torn write of the
-                        // last (unacknowledged) record
-                        discarded_tail = true;
-                        break;
-                    }
-                    // corruption with acknowledged records after it —
-                    // losing them silently would break the durability
-                    // contract
-                    return Err(ServeError::JournalReplay {
-                        record: record_no,
-                        detail: "checksum mismatch before end of journal".into(),
-                    });
-                }
-                let text = std::str::from_utf8(payload).map_err(|_| ServeError::JournalReplay {
-                    record: record_no,
-                    detail: "payload is not UTF-8".into(),
-                })?;
-                let rec: JournalRecord =
-                    serde_json::from_str(text).map_err(|e| ServeError::JournalReplay {
-                        record: record_no,
-                        detail: format!("bad payload: {e}"),
-                    })?;
-                let n = index.len() as u64;
-                if rec.seq < n {
-                    skipped += 1; // already compacted into the snapshot
-                } else if rec.seq == n {
-                    index.try_insert(rec.vector).map_err(|e| ServeError::JournalReplay {
-                        record: record_no,
-                        detail: e.to_string(),
-                    })?;
-                    replayed += 1;
-                } else {
-                    return Err(ServeError::JournalReplay {
-                        record: record_no,
-                        detail: format!("sequence gap: record {} onto {} vectors", rec.seq, n),
-                    });
-                }
-                pos = next;
-                record_no += 1;
-            }
-        }
-        self.record_load(replayed, skipped, discarded_tail);
-        Ok(Recovery { index, replayed, skipped, discarded_tail })
-    }
-
-    /// Counts one completed [`IndexStore::load`] and what its replay saw.
-    fn record_load(&self, replayed: usize, skipped: usize, discarded_tail: bool) {
+        let mut index = decode_snapshot(&self.snapshot_path, &bytes)?;
+        drop(bytes);
+        let (replayed, skipped, discarded_tail) = self.replay_journals(&mut index)?;
         if let Some(m) = &self.metrics {
             m.loads.inc();
             m.replayed.add(replayed as u64);
@@ -707,150 +627,74 @@ impl IndexStore {
                 m.discarded_tails.inc();
             }
         }
+        Ok(Recovery { index, replayed, skipped, discarded_tail })
     }
 
-    /// Integrity check without mutating anything: header + checksum of the
-    /// snapshot, frame scan of the main and side journals, and the journal
-    /// tail length (records not yet folded into a snapshot).
+    /// Replays the main journal, then the side journal, onto `index` under
+    /// the idempotency rule of [`replay_record`]; returns `(replayed,
+    /// skipped, discarded_tail)` as [`Recovery`] reports them.
+    ///
+    /// # Errors
+    /// A journal that cannot be read, or [`ServeError::JournalReplay`] at
+    /// the first record that is corrupt or does not follow the index.
+    pub(crate) fn replay_journals(
+        &self,
+        index: &mut AnnIndex,
+    ) -> Result<(usize, usize, bool), ServeError> {
+        let (mut replayed, mut skipped, mut discarded_tail) = (0usize, 0usize, false);
+        for path in [&self.journal_path, &self.side_path] {
+            let walk = walk_journal(path, |payload| {
+                let record = parse_record(payload)?;
+                match replay_record(index, record.seq, record.vector)? {
+                    true => replayed += 1,
+                    false => skipped += 1, // already compacted into the snapshot
+                }
+                Ok(())
+            })?;
+            if let Some(detail) = walk.error {
+                return Err(ServeError::JournalReplay { record: walk.valid_records, detail });
+            }
+            discarded_tail |= walk.torn_tail;
+        }
+        Ok((replayed, skipped, discarded_tail))
+    }
+
+    /// Integrity check without mutating anything: header, section table
+    /// and per-section checksums of the snapshot, a frame scan of the main
+    /// and side journals, and the journal tail length (records not yet
+    /// folded into a snapshot).
     pub fn verify(&self) -> VerifyReport {
-        let snapshot = self.verify_snapshot();
-        let journal = self.verify_journal_at(&self.journal_path);
-        let side_journal = self.verify_journal_at(&self.side_path);
-        let tail_records = if snapshot.error.is_none() && snapshot.format != "missing" {
-            count_tail_records(&self.journal_path, snapshot.count)
-                + count_tail_records(&self.side_path, snapshot.count)
-        } else {
-            0
+        let snapshot = match std::fs::read(&self.snapshot_path) {
+            Ok(bytes) => {
+                let (mut report, index) = read_snapshot(&self.snapshot_path, &bytes);
+                if let Some(index) = index {
+                    report.facets = index.facet_checksums();
+                    report.quant = index.quant_checksums();
+                }
+                report
+            }
+            Err(e) => SnapshotReport {
+                path: self.snapshot_path.display().to_string(),
+                format: "missing".into(),
+                error: Some(e.to_string()),
+                ..Default::default()
+            },
         };
-        let ok = snapshot.error.is_none()
-            && snapshot.format != "missing"
-            && journal.error.is_none()
-            && side_journal.error.is_none();
+        let readable = snapshot.error.is_none();
+        let mut tail_records = 0usize;
+        // an unreadable journal reports as absent, like the snapshot above
+        let mut scan = |path: &Path| {
+            walk_journal(path, |payload| {
+                let seq = parse_record(payload)?.seq;
+                tail_records += usize::from(readable && seq >= snapshot.count);
+                Ok(())
+            })
+            .unwrap_or_default()
+        };
+        let journal = scan(&self.journal_path);
+        let side_journal = scan(&self.side_path);
+        let ok = readable && journal.error.is_none() && side_journal.error.is_none();
         VerifyReport { snapshot, journal, side_journal, tail_records, ok }
-    }
-
-    fn verify_snapshot(&self) -> SnapshotReport {
-        let path = self.snapshot_path.display().to_string();
-        let mut r = SnapshotReport {
-            path,
-            format: "corrupt".into(),
-            version: 0,
-            dim: 0,
-            nlist: 0,
-            count: 0,
-            header_ok: false,
-            payload_ok: false,
-            bytes: 0,
-            facets: Vec::new(),
-            quant: Vec::new(),
-            error: None,
-        };
-        let bytes = match std::fs::read(&self.snapshot_path) {
-            Ok(b) => b,
-            Err(e) => {
-                r.format = "missing".into();
-                r.error = Some(e.to_string());
-                return r;
-            }
-        };
-        r.bytes = bytes.len() as u64;
-        if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
-            // pre-v1 snapshots were bare JSON
-            match AnnIndex::from_json(std::str::from_utf8(&bytes).unwrap_or("")) {
-                Ok(idx) => {
-                    r.format = "legacy-json".into();
-                    r.dim = idx.dim();
-                    r.nlist = idx.nlist();
-                    r.count = idx.len() as u64;
-                    r.header_ok = true;
-                    r.payload_ok = true;
-                    r.facets = idx.facet_checksums();
-                    r.quant = idx.quant_checksums();
-                }
-                Err(e) => r.error = Some(format!("not a v1 snapshot and not legacy JSON: {e}")),
-            }
-            return r;
-        }
-        if crc32(&bytes[..HEADER_LEN - 4]) != read_u32(&bytes, HEADER_LEN - 4) {
-            r.error = Some("header checksum mismatch".into());
-            return r;
-        }
-        r.header_ok = true;
-        r.version = read_u32(&bytes, 8);
-        r.dim = read_u32(&bytes, 12) as usize;
-        r.nlist = read_u32(&bytes, 16) as usize;
-        r.count = read_u64(&bytes, 20);
-        if r.version == 0 || r.version > FORMAT_VERSION {
-            r.error = Some(format!("unsupported format version {}", r.version));
-            return r;
-        }
-        let payload_len = read_u64(&bytes, 28) as usize;
-        if bytes.len() != HEADER_LEN + payload_len {
-            r.error = Some(format!(
-                "payload length mismatch: header says {payload_len}, file holds {}",
-                bytes.len() - HEADER_LEN
-            ));
-            return r;
-        }
-        if crc32(&bytes[HEADER_LEN..]) != read_u32(&bytes, 36) {
-            r.error = Some("payload checksum mismatch".into());
-            return r;
-        }
-        r.payload_ok = true;
-        r.format = format!("v{}", r.version);
-        // decode the payload to report per-facet segment checksums; a
-        // payload the checksums accepted but the parser rejects is still
-        // an integrity failure worth surfacing
-        match std::str::from_utf8(&bytes[HEADER_LEN..])
-            .ok()
-            .and_then(|t| AnnIndex::from_json(t).ok())
-        {
-            Some(idx) => {
-                r.facets = idx.facet_checksums();
-                r.quant = idx.quant_checksums();
-            }
-            None => r.error = Some("payload checksums pass but JSON is rejected".into()),
-        }
-        r
-    }
-
-    fn verify_journal_at(&self, journal_path: &Path) -> JournalReport {
-        let path = journal_path.display().to_string();
-        let mut r = JournalReport {
-            path,
-            present: false,
-            valid_records: 0,
-            bytes: 0,
-            torn_tail: false,
-            error: None,
-        };
-        let journal = match std::fs::read(journal_path) {
-            Ok(j) => j,
-            Err(_) => return r,
-        };
-        r.present = true;
-        r.bytes = journal.len() as u64;
-        let mut pos = 0usize;
-        while pos < journal.len() {
-            let Some((payload, next)) = frame_at(&journal, pos) else {
-                r.torn_tail = true;
-                break;
-            };
-            if crc32(payload) != read_u32(&journal, pos + 4) {
-                if next == journal.len() {
-                    r.torn_tail = true;
-                } else {
-                    r.error = Some(format!(
-                        "record {} checksum mismatch before end of journal",
-                        r.valid_records
-                    ));
-                }
-                break;
-            }
-            r.valid_records += 1;
-            pos = next;
-        }
-        r
     }
 }
 
@@ -865,121 +709,148 @@ pub fn journal_path_for(snapshot: &Path) -> PathBuf {
 /// `<snapshot>.journal.side` — where appends land while an online
 /// compaction is in flight.
 pub fn side_journal_path_for(snapshot: &Path) -> PathBuf {
-    let mut name = snapshot.as_os_str().to_os_string();
-    name.push(".journal.side");
+    let mut name = journal_path_for(snapshot).into_os_string();
+    name.push(".side");
     PathBuf::from(name)
 }
 
-/// Counts checksum-valid records in `path` whose `seq` is at or past
-/// `snapshot_count` — the journal tail a compaction would fold in.
-/// Unreadable frames and records stop the count (verification reports
-/// them separately); a missing file counts zero.
-fn count_tail_records(path: &Path, snapshot_count: u64) -> usize {
-    let Ok(journal) = std::fs::read(path) else { return 0 };
-    let mut tail = 0usize;
-    let mut pos = 0usize;
-    while pos < journal.len() {
-        let Some((payload, next)) = frame_at(&journal, pos) else { break };
-        if crc32(payload) != read_u32(&journal, pos + 4) {
-            break;
-        }
-        let Some(rec) = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|t| serde_json::from_str::<JournalRecord>(t).ok())
-        else {
+/// Deletes `path` (and fsyncs its directory) when it exists; returns
+/// whether it did.
+fn remove_if_present(path: &Path) -> Result<bool, ServeError> {
+    if !path.exists() {
+        return Ok(false);
+    }
+    std::fs::remove_file(path).map_err(|e| ServeError::io(path, e))?;
+    fsync_parent_dir(path);
+    Ok(true)
+}
+
+/// The one journal reader: walks the `len u32 | crc32 u32 | payload`
+/// frames of the file at `path` in order, handing each frame-complete,
+/// checksum-valid payload to `each`, and reports how the walk ended
+/// (`error` also carries the first record `each` rejected). A missing
+/// file is an empty walk.
+///
+/// # Errors
+/// Only a file that exists but cannot be read.
+pub(crate) fn walk_journal(
+    path: &Path,
+    mut each: impl FnMut(&[u8]) -> Result<(), String>,
+) -> Result<JournalReport, ServeError> {
+    let mut walk = JournalReport { path: path.display().to_string(), ..Default::default() };
+    let journal = match std::fs::read(path) {
+        Ok(j) => j,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(walk),
+        Err(e) => return Err(ServeError::io(path, e)),
+    };
+    walk.present = true;
+    walk.bytes = journal.len() as u64;
+    let mut rest = &journal[..];
+    while !rest.is_empty() {
+        let payload = (rest.len() >= 8)
+            .then(|| u32_at(rest, 0) as usize)
+            .and_then(|len| rest.get(8..len.checked_add(8)?));
+        let Some(payload) = payload else {
+            walk.torn_tail = true; // the frame does not fit what is left
             break;
         };
-        if rec.seq >= snapshot_count {
-            tail += 1;
+        let next = &rest[8 + payload.len()..];
+        if crc32(payload) != u32_at(rest, 4) {
+            if next.is_empty() {
+                // a torn write of the last (unacknowledged) record
+                walk.torn_tail = true;
+            } else {
+                // acknowledged records follow: dropping them silently
+                // would break the durability contract
+                walk.error = Some("checksum mismatch before end of journal".into());
+            }
+            break;
         }
-        pos = next;
+        if let Err(detail) = each(payload) {
+            walk.error = Some(detail);
+            break;
+        }
+        walk.valid_records += 1;
+        rest = next;
     }
-    tail
+    Ok(walk)
 }
 
-/// Returns `(payload, next_offset)` for the frame at `pos`, or `None` when
-/// the remaining bytes cannot hold a complete frame.
-fn frame_at(journal: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    if journal.len() - pos < 8 {
-        return None;
-    }
-    let len = read_u32(journal, pos) as usize;
-    let next = pos.checked_add(8)?.checked_add(len)?;
-    if next > journal.len() {
-        return None;
-    }
-    Some((&journal[pos + 8..next], next))
+/// Parses a journal payload.
+fn parse_record(payload: &[u8]) -> Result<JournalRecord, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
+    serde_json::from_str(text).map_err(|e| format!("bad payload: {e}"))
 }
 
-/// Encodes `index` as a headered v3 snapshot byte blob. `pub(crate)` so
-/// the shard's online compaction can do the expensive encode off-lock and
-/// hand the finished bytes to [`IndexStore::commit_online_compaction`].
-pub(crate) fn encode_snapshot(index: &AnnIndex) -> Result<Vec<u8>, ServeError> {
-    let payload = index.to_json_bytes()?;
-    let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-    bytes.extend_from_slice(MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&(index.dim() as u32).to_le_bytes());
-    bytes.extend_from_slice(&(index.nlist() as u32).to_le_bytes());
-    bytes.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    let header_crc = crc32(&bytes);
-    bytes.extend_from_slice(&header_crc.to_le_bytes());
-    bytes.extend_from_slice(&payload);
-    Ok(bytes)
+/// Applies one journal record under the idempotency rule: a `seq` the
+/// index already holds is skipped (`Ok(false)`), the next `seq` is
+/// inserted (`Ok(true)`), anything later is a gap.
+pub(crate) fn replay_record(
+    index: &mut AnnIndex,
+    seq: u64,
+    vector: Vec<f32>,
+) -> Result<bool, String> {
+    let n = index.len() as u64;
+    if seq < n {
+        return Ok(false);
+    }
+    if seq > n {
+        return Err(format!("sequence gap: record {seq} onto {n} vectors"));
+    }
+    index.try_insert(vector).map_err(|e| e.to_string())?;
+    Ok(true)
 }
 
-fn decode_snapshot(bytes: &[u8], path: &Path) -> Result<AnnIndex, ServeError> {
-    if bytes.len() < HEADER_LEN || &bytes[..8] != MAGIC {
-        // fall back to the pre-v1 bare-JSON format
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| ServeError::corrupt(path, "neither a v1 snapshot nor UTF-8 JSON"))?;
-        return AnnIndex::from_json(text)
-            .map_err(|e| ServeError::corrupt(path, format!("legacy JSON rejected: {e}")));
+/// Decodes the v4 snapshot image `bytes` read from `path`.
+///
+/// # Errors
+/// [`ServeError::CorruptSnapshot`] naming the first failed check.
+fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<AnnIndex, ServeError> {
+    let (report, index) = read_snapshot(path, bytes);
+    index.ok_or_else(|| {
+        ServeError::corrupt(path, report.error.unwrap_or_else(|| "snapshot rejected".into()))
+    })
+}
+
+/// The one snapshot reader, shared by [`IndexStore::load`] (which turns
+/// the first failed check into an error) and [`IndexStore::verify`]
+/// (which reports it): header and section table, per-section checksums,
+/// decode, shape validation. The index is `Some` only when all pass.
+fn read_snapshot(path: &Path, bytes: &[u8]) -> (SnapshotReport, Option<AnnIndex>) {
+    let mut r = SnapshotReport {
+        path: path.display().to_string(),
+        format: "corrupt".into(),
+        version: snapshot::version_of(bytes).unwrap_or(0),
+        bytes: bytes.len() as u64,
+        ..Default::default()
+    };
+    let header = match snapshot::parse(bytes) {
+        Ok((header, sections)) => {
+            r.sections = sections;
+            header
+        }
+        Err(e) => {
+            r.error = Some(e);
+            return (r, None);
+        }
+    };
+    r.header_ok = true;
+    (r.dim, r.nlist, r.count) = (header.dim, header.nlist, header.count);
+    if let Some(bad) = r.sections.iter().find(|s| !s.ok) {
+        r.error = Some(format!("section `{}` checksum mismatch", bad.name));
+        return (r, None);
     }
-    if crc32(&bytes[..HEADER_LEN - 4]) != read_u32(bytes, HEADER_LEN - 4) {
-        return Err(ServeError::corrupt(path, "header checksum mismatch"));
+    r.payload_ok = true;
+    match header.decode(bytes) {
+        Ok(index) => {
+            r.format = format!("v{}", snapshot::VERSION);
+            (r, Some(index))
+        }
+        Err(e) => {
+            r.error = Some(format!("checksums pass but the payload is rejected: {e}"));
+            (r, None)
+        }
     }
-    // v1 payloads decode through the same path: the facet layout they
-    // lack deserialises as "no layout", i.e. the fused single-segment
-    // view — that *is* the migration. The next save rewrites as v2.
-    let version = read_u32(bytes, 8);
-    if version == 0 || version > FORMAT_VERSION {
-        return Err(ServeError::corrupt(path, format!("unsupported format version {version}")));
-    }
-    let payload_len = read_u64(bytes, 28) as usize;
-    if bytes.len() != HEADER_LEN + payload_len {
-        return Err(ServeError::corrupt(
-            path,
-            format!(
-                "payload length mismatch: header says {payload_len}, file holds {}",
-                bytes.len() - HEADER_LEN
-            ),
-        ));
-    }
-    let payload = &bytes[HEADER_LEN..];
-    if crc32(payload) != read_u32(bytes, 36) {
-        return Err(ServeError::corrupt(path, "payload checksum mismatch"));
-    }
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| ServeError::corrupt(path, "payload is not UTF-8"))?;
-    let index = AnnIndex::from_json(text)
-        .map_err(|e| ServeError::corrupt(path, format!("payload rejected: {e}")))?;
-    let (dim, nlist, count) =
-        (read_u32(bytes, 12) as usize, read_u32(bytes, 16) as usize, read_u64(bytes, 20));
-    if index.dim() != dim || index.nlist() != nlist || index.len() as u64 != count {
-        return Err(ServeError::corrupt(
-            path,
-            format!(
-                "header/payload disagreement: header ({dim}, {nlist}, {count}) vs payload ({}, {}, {})",
-                index.dim(),
-                index.nlist(),
-                index.len()
-            ),
-        ));
-    }
-    Ok(index)
 }
 
 #[cfg(test)]
@@ -1007,6 +878,31 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The byte-at-a-time loop the sliced implementation replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 equals the bytewise reference at every length and
+        /// at every offset into the buffer (so every alignment of the
+        /// 8-byte steps against the data is exercised).
+        #[test]
+        fn crc32_sliced_equals_bytewise(
+            len in 0usize..=4096,
+            offset in 0usize..=4096,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data: Vec<u8> = (0..offset + len).map(|_| rng.gen()).collect();
+            proptest::prop_assert_eq!(crc32(&data[offset..]), crc32_bytewise(&data[offset..]));
+        }
+    }
+
     #[test]
     fn snapshot_roundtrip_and_verify() {
         let dir = tmp_dir("roundtrip");
@@ -1021,9 +917,25 @@ mod tests {
         assert_eq!(rec.index.search(&q, 5), idx.search(&q, 5));
         let report = store.verify();
         assert!(report.ok, "{report:?}");
-        assert_eq!(report.snapshot.format, "v3");
-        assert_eq!(report.snapshot.version, 3);
+        assert_eq!(report.snapshot.format, "v4");
+        assert_eq!(report.snapshot.version, 4);
         assert_eq!(report.snapshot.count, 300);
+        // every section is listed with its verdict; the absent ones
+        // (no layout, flat-threshold 256 < 300 so IVF, unquantized) are empty
+        let sections: Vec<(&str, bool, bool)> =
+            report.snapshot.sections.iter().map(|s| (s.name.as_str(), s.ok, s.bytes > 0)).collect();
+        assert_eq!(
+            sections,
+            vec![
+                ("config", true, true),
+                ("layout", true, false),
+                ("centroids", true, true),
+                ("lists", true, true),
+                ("vectors", true, true),
+                ("quant", true, false),
+            ]
+        );
+        assert_eq!(report.snapshot.sections[4].bytes, 300 * 8 * 4, "the flat f32 matrix");
         // an un-faceted index reports the single fused segment checksum
         assert_eq!(report.snapshot.facets.len(), 1);
         assert_eq!(report.snapshot.facets[0].name, "fused");
@@ -1188,17 +1100,46 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_json_snapshots_still_load() {
+    fn legacy_stores_are_refused_with_the_migration_command() {
         let dir = tmp_dir("legacy");
         let snap = dir.join("index.json");
         let idx = AnnIndex::build(random_vectors(20, 4, 10), IndexConfig::default());
         std::fs::write(&snap, idx.to_json().unwrap()).unwrap();
         let store = IndexStore::open(&snap);
-        let rec = store.load().unwrap();
-        assert_eq!(rec.index.len(), 20);
+        let err = store.load().unwrap_err();
+        assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{err}");
+        assert!(err.to_string().contains("sem index migrate"), "{err}");
         let report = store.verify();
-        assert!(report.ok);
-        assert_eq!(report.snapshot.format, "legacy-json");
+        assert!(!report.ok);
+        assert!(report.snapshot.error.unwrap().contains("sem index migrate"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journal_and_snapshot_bytes_are_counted() {
+        let dir = tmp_dir("journal-bytes");
+        let snap = dir.join("index.bin");
+        let idx = AnnIndex::build(random_vectors(30, 32, 14), IndexConfig::default());
+        let registry = Arc::new(Registry::new());
+        let mut store = IndexStore::open(&snap);
+        store.set_metrics(&registry);
+        store.save_snapshot(&idx).unwrap();
+        let vectors = random_vectors(3, 32, 15);
+        for (i, v) in vectors.iter().enumerate() {
+            store.append_journal(30 + i, v).unwrap();
+        }
+        // len u32 | crc32 u32 | the record as JSON text
+        let journal = std::fs::read(store.journal_path()).unwrap();
+        let len = u32_at(&journal, 0) as usize;
+        assert_eq!(crc32(&journal[8..8 + len]), u32_at(&journal, 4));
+        let first = parse_record(&journal[8..8 + len]).unwrap();
+        assert_eq!((first.seq, &first.vector), (30, &vectors[0]));
+        let counters = registry.snapshot();
+        assert_eq!(counters.counter("store.journal.bytes"), Some(journal.len() as u64));
+        assert_eq!(
+            counters.counter("store.snapshot.bytes"),
+            Some(std::fs::metadata(&snap).unwrap().len())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1240,7 +1181,7 @@ mod tests {
             assert_eq!(seq, clone.len());
             clone.try_insert(v).unwrap();
         }
-        let bytes = encode_snapshot(&clone).unwrap();
+        let bytes = snapshot::encode(&clone).unwrap();
         if let Err(e) = store.commit_online_compaction(&bytes) {
             return (live, Some(e));
         }
@@ -1340,15 +1281,13 @@ mod tests {
         assert!(matches!(store.side_records(), Err(ServeError::Invalid(_))));
         assert!(matches!(store.commit_online_compaction(&[]), Err(ServeError::Invalid(_))));
         store.begin_online_compaction().unwrap();
-        // double begin
-        assert!(matches!(store.begin_online_compaction(), Err(ServeError::Invalid(_))));
         let mut clone = idx.clone();
         store.append_journal(30, &random_vectors(1, 4, 79)[0]).unwrap();
         for (seq, vec) in store.side_records().unwrap() {
             assert_eq!(seq, clone.len());
             clone.try_insert(vec).unwrap();
         }
-        let bytes = encode_snapshot(&clone).unwrap();
+        let bytes = snapshot::encode(&clone).unwrap();
         // a record still buffered between side_records() and commit is
         // refused — the snapshot about to land would not contain it
         let mut batched = IndexStore::open(dir.join("other.bin")).with_flush_every(8);
@@ -1361,6 +1300,86 @@ mod tests {
         let rec = IndexStore::open(&snap).load().unwrap();
         assert_eq!(rec.index.len(), 31);
         assert_eq!(rec.replayed, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A crash mid-online-compaction leaves `snapshot + journal(a..b) +
+    /// journal.side(b+1..c)`. The store reopened over that wreckage must
+    /// keep one append target that replays in order, so the *second*
+    /// recovery — after new acknowledged appends — still equals the
+    /// never-crashed reference.
+    #[test]
+    fn appends_after_an_interrupted_compaction_survive_a_second_recovery() {
+        for (name, plan) in [
+            ("side-install", FaultPlan::crash_on_side_install()),
+            ("torn-temp", FaultPlan::torn_snapshot(20)),
+            ("before-main-truncate", FaultPlan::crash_mid_compaction()),
+            ("before-side-truncate", FaultPlan::crash_before_side_truncate()),
+        ] {
+            let dir = tmp_dir(&format!("second-recovery-{name}"));
+            let snap = dir.join("index.bin");
+            let (mut live, err) = online_compaction_roundtrip(&dir, plan);
+            assert!(err.expect(name).is_injected());
+            // first reboot: recover, then keep ingesting
+            let mut store = IndexStore::open(&snap);
+            let recovered = store.load().unwrap().index;
+            assert_eq!(recovered.to_json().unwrap(), live.to_json().unwrap(), "{name}");
+            for v in random_vectors(3, 6, 74) {
+                assert_eq!(store.append_journal(live.len(), &v).unwrap(), Durability::Synced);
+                live.try_insert(v).unwrap();
+            }
+            drop(store);
+            // second reboot: every acknowledged ingest is still there
+            let mut store = IndexStore::open(&snap);
+            let rec = store.load().unwrap();
+            assert_eq!(rec.index.to_json().unwrap(), live.to_json().unwrap(), "{name}");
+            // and the next blocking snapshot returns to the plain layout
+            store.save_snapshot(&rec.index).unwrap();
+            assert!(!store.compacting());
+            assert!(!store.journal_path().exists() && !store.side_journal_path().exists());
+            assert_eq!(IndexStore::open(&snap).load().unwrap().replayed, 0);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A commit that fails without crashing (here: the temp path is
+    /// occupied by a directory) leaves the store in side-journal mode;
+    /// retrying the compaction from `begin` resumes and completes.
+    #[test]
+    fn a_failed_commit_can_be_retried() {
+        let dir = tmp_dir("commit-retry");
+        let snap = dir.join("index.bin");
+        let idx = AnnIndex::build(random_vectors(30, 4, 81), IndexConfig::default());
+        let mut store = IndexStore::open(&snap)
+            .with_retry(RetryPolicy { base_delay_ms: 0, ..RetryPolicy::with_attempts(1) });
+        store.save_snapshot(&idx).unwrap();
+        let mut live = idx;
+        let mut ingest = |store: &mut IndexStore, seed| {
+            let v = random_vectors(1, 4, seed).pop().unwrap();
+            store.append_journal(live.len(), &v).unwrap();
+            live.try_insert(v).unwrap();
+            live.clone()
+        };
+        ingest(&mut store, 82);
+        store.begin_online_compaction().unwrap();
+        let clone = ingest(&mut store, 83);
+        assert_eq!(store.side_records().unwrap().len(), 1);
+        let blocker = tmp_path(&snap);
+        std::fs::create_dir(&blocker).unwrap();
+        let err = store.commit_online_compaction(&snapshot::encode(&clone).unwrap()).unwrap_err();
+        assert!(matches!(err, ServeError::Io { .. }), "{err}");
+        assert!(store.compacting(), "the failed commit stays resumable");
+        std::fs::remove_dir(&blocker).unwrap();
+        // ingest continues, then the retry: begin resumes instead of refusing
+        let clone = ingest(&mut store, 84);
+        store.begin_online_compaction().unwrap();
+        let stale: Vec<usize> = store.side_records().unwrap().iter().map(|r| r.0).collect();
+        assert_eq!(stale, vec![31, 32], "the clone already holds the side records");
+        store.commit_online_compaction(&snapshot::encode(&clone).unwrap()).unwrap();
+        assert!(!store.compacting());
+        let rec = IndexStore::open(&snap).load().unwrap();
+        assert_eq!((rec.index.len(), rec.replayed), (33, 0));
+        assert_eq!(rec.index.to_json().unwrap(), clone.to_json().unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

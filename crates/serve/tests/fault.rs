@@ -240,6 +240,92 @@ fn engine_recovers_from_store_after_injected_crash() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A crash mid-online-compaction leaves `snapshot + journal + side
+/// journal` behind. The family must survive not just the first restart
+/// but the second: ingests acknowledged after the first recovery have to
+/// replay *after* the side journal's records, not into the middle of them.
+#[test]
+fn ingests_after_an_interrupted_compaction_survive_the_next_restart() {
+    let dir = scratch("second-restart");
+    let family = dir.join("family.snap");
+    let config = ShardConfig { shards: 1, ..Default::default() };
+    let extras = random_vectors(9, 6, 14);
+    let mut reference = build(40, 6, 13);
+    for v in &extras {
+        reference.try_insert(v.clone()).unwrap();
+    }
+
+    let router = ShardRouter::try_build(random_vectors(40, 6, 13), config).unwrap();
+    router.attach_stores(&family).unwrap();
+    router.persist_all().unwrap();
+    for v in &extras[..3] {
+        assert!(router.ingest_vector(v.clone()).unwrap().durable);
+    }
+    drop(router);
+    // the compaction that never committed: side-journal mode entered, three
+    // more ingests acknowledged into the side journal, then the machine died
+    let mut store = IndexStore::open(shard_snapshot_path(&family, 0));
+    store.begin_online_compaction().unwrap();
+    for (i, v) in extras[3..6].iter().enumerate() {
+        store.append_journal(43 + i, v).unwrap();
+    }
+    drop(store);
+
+    // first restart recovers all six, and serves three more ingests
+    let (router, recoveries) = ShardRouter::open(&family, config).unwrap();
+    assert_eq!(recoveries[0].replayed, 6);
+    for v in &extras[6..] {
+        assert!(router.ingest_vector(v.clone()).unwrap().durable);
+    }
+    drop(router);
+
+    // second restart: every acknowledged ingest, in order
+    let (router, recoveries) = ShardRouter::open(&family, config).unwrap();
+    assert_eq!(recoveries[0].replayed, 9);
+    let recovered = router.shard(0).with_index(|i| i.to_json().unwrap()).unwrap();
+    assert_eq!(recovered, reference.to_json().unwrap());
+    // and the interrupted compaction completes when retried
+    router.compact_shard_online(0).unwrap();
+    assert_eq!(router.shard(0).journal_tail(), Some(0));
+    assert!(!router.maintenance_status()[0].compacting);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A compaction that fails *without* crashing (the snapshot temp path is
+/// unwritable) must not wedge the shard: ingest keeps flowing and the
+/// next attempt completes.
+#[test]
+fn a_failed_online_compaction_can_be_retried() {
+    let dir = scratch("compaction-retry");
+    let family = dir.join("family.snap");
+    let router = ShardRouter::try_build(
+        random_vectors(40, 6, 15),
+        ShardConfig { shards: 1, ..Default::default() },
+    )
+    .unwrap();
+    router.attach_stores(&family).unwrap();
+    router.persist_all().unwrap();
+    let extras = random_vectors(3, 6, 16);
+    assert!(router.ingest_vector(extras[0].clone()).unwrap().durable);
+
+    let blocker = sem_train::atomic::tmp_path(&shard_snapshot_path(&family, 0));
+    std::fs::create_dir(&blocker).unwrap();
+    let err = router.compact_shard_online(0).unwrap_err();
+    assert!(matches!(err, ServeError::Io { .. }), "{err}");
+    assert!(router.ingest_vector(extras[1].clone()).unwrap().durable, "ingest is not wedged");
+    std::fs::remove_dir(&blocker).unwrap();
+
+    let report = router.compact_shard_online(0).unwrap();
+    assert_eq!(report.base_len, 42);
+    assert_eq!(router.shard(0).journal_tail(), Some(0));
+    assert!(router.ingest_vector(extras[2].clone()).unwrap().durable);
+    drop(router);
+    let (reopened, _) =
+        ShardRouter::open(&family, ShardConfig { shards: 1, ..Default::default() }).unwrap();
+    assert_eq!(reopened.len(), 43);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

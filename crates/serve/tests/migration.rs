@@ -1,15 +1,41 @@
-//! Store-migration regression tests: v1 (fused) and v2 (faceted,
-//! unquantized) snapshot + journal fixtures must open through the
-//! current store with identical top-k, the next snapshot must rewrite
-//! them as v3, and corruption — header, payload, or the SQ8 sidecar —
-//! must stay a typed error, never a silent downgrade.
+//! Legacy-store migration tests over byte-exact fixtures written by the
+//! last pre-v4 commit (`tests/fixtures/`, ~40 vectors × 8 dims each):
+//!
+//! * `legacy-json.snap` — bare `AnnIndex::to_json`, flat, fused;
+//! * `v1.snap` + `.journal` — headered v1, flat, fused, two journal
+//!   records;
+//! * `v2.snap` — headered v2, IVF (4 cells) with a 4-facet layout;
+//! * `v3.snap` + `.journal` + `.journal.side` — headered v3, IVF, layout
+//!   and SQ8 sidecar, caught mid-online-compaction (three main-journal
+//!   records, two side-journal records).
+//!
+//! Each `X.expected.json` is `to_json()` of the index the old reader
+//! recovered from `X` — the reference the migrated store must reproduce
+//! bit for bit. The serving reader must refuse all of them with an error
+//! naming `sem index migrate`; `migrate` must convert them in place,
+//! folding in the journals (whose format v4 did not change).
 
 use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sem_serve::store::crc32;
-use sem_serve::{AnnIndex, FacetLayout, IndexConfig, IndexStore, ServeError};
+use sem_serve::{
+    migrate, migrate_store, shard_snapshot_path, verify_sharded, AnnIndex, IndexStore, ServeError,
+    ShardConfig, ShardManifest, ShardRouter,
+};
+
+/// (fixture, format `migrate` must report, journal records it must fold).
+const FIXTURES: [(&str, &str, usize); 4] = [
+    ("legacy-json.snap", "legacy-json", 0),
+    ("v1.snap", "v1", 2),
+    ("v2.snap", "v2", 0),
+    ("v3.snap", "v3", 5),
+];
+
+fn fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+}
 
 fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -18,252 +44,180 @@ fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sem-migration-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
-const HEADER_LEN: usize = 44;
-
-/// Rewrites a freshly written v3 snapshot as the exact bytes an older
-/// writer would have produced: the target `version` in the header and
-/// the named keys absent from the JSON payload (v1 predates facet
-/// metadata entirely, v2 predates the SQ8 sidecar).
-fn rewrite_as_version(path: &Path, version: u32, strip: &[&str]) {
-    let bytes = std::fs::read(path).unwrap();
-    assert_eq!(&bytes[..8], b"SEMSNAP1");
-    let text = std::str::from_utf8(&bytes[HEADER_LEN..]).unwrap();
-    let mut value = serde_json::parse(text).unwrap();
-    if let serde_json::JsonValue::Obj(fields) = &mut value {
-        fields.retain(|(k, _)| !strip.contains(&k.as_str()));
-    }
-    let payload = serde_json::to_string(&value).unwrap().into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&bytes[..8]);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&bytes[12..28]); // dim, nlist, count are unchanged
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    std::fs::write(path, out).unwrap();
-}
-
-fn rewrite_as_v1(path: &Path) {
-    rewrite_as_version(path, 1, &["layout", "quant"]);
-}
-
-fn rewrite_as_v2(path: &Path) {
-    rewrite_as_version(path, 2, &["quant"]);
-}
-
-/// Parses the snapshot payload, lets `mutate` rewrite it, and writes the
-/// file back with both checksums recomputed — corruption that the CRC
-/// pass alone cannot catch, so the payload validators must.
-fn mutate_payload(path: &Path, mutate: impl FnOnce(&mut serde_json::JsonValue)) {
-    let bytes = std::fs::read(path).unwrap();
-    let mut value = serde_json::parse(std::str::from_utf8(&bytes[HEADER_LEN..]).unwrap()).unwrap();
-    mutate(&mut value);
-    let payload = serde_json::to_string(&value).unwrap().into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&bytes[..28]);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    std::fs::write(path, out).unwrap();
-}
-
-/// Mutable reference to a named field of a JSON object value.
-fn obj_field<'a>(
-    value: &'a mut serde_json::JsonValue,
-    name: &str,
-) -> &'a mut serde_json::JsonValue {
-    match value {
-        serde_json::JsonValue::Obj(fields) => {
-            &mut fields.iter_mut().find(|(k, _)| k == name).expect("field present").1
+/// Copies fixture `name` and whichever journals it has to `to`.
+fn install(name: &str, to: &Path) {
+    for suffix in ["", ".journal", ".journal.side"] {
+        let from = fixtures().join(format!("{name}{suffix}"));
+        if from.exists() {
+            let mut target = to.as_os_str().to_os_string();
+            target.push(suffix);
+            std::fs::copy(from, target).unwrap();
         }
-        other => panic!("expected object, got {}", other.kind()),
     }
 }
 
-fn flat() -> IndexConfig {
-    IndexConfig { flat_threshold: usize::MAX, ..Default::default() }
+fn expected(name: &str) -> String {
+    std::fs::read_to_string(fixtures().join(format!("{name}.expected.json"))).unwrap()
 }
 
 #[test]
-fn v1_snapshot_and_journal_open_identically_and_resave_as_current() {
-    let dir = tmp_dir("v1-open");
-    let path = dir.join("index.snap");
-    let vectors = random_vectors(40, 8, 7);
-    let mut reference = AnnIndex::try_build(vectors, flat()).unwrap();
-    IndexStore::open(&path).save_snapshot(&reference).unwrap();
-    rewrite_as_v1(&path);
+fn the_serving_reader_refuses_every_legacy_fixture_and_names_the_converter() {
+    let dir = tmp_dir("refuse");
+    for (name, _, _) in FIXTURES {
+        let path = dir.join(name);
+        install(name, &path);
+        let before = std::fs::read(&path).unwrap();
+        let err = IndexStore::open(&path).load().unwrap_err();
+        assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{name}: {err}");
+        assert!(err.to_string().contains("sem index migrate"), "{name}: {err}");
+        let report = IndexStore::open(&path).verify();
+        assert!(!report.ok, "{name}");
+        assert!(report.snapshot.error.unwrap().contains("sem index migrate"), "{name}");
+        assert_eq!(std::fs::read(&path).unwrap(), before, "{name}: reading must not rewrite");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // the fixture self-identifies as v1 and still verifies clean, with
-    // the single fused segment checksum reported
-    let report = IndexStore::open(&path).verify();
-    assert!(report.ok, "{report:?}");
-    assert_eq!(report.snapshot.format, "v1");
-    assert_eq!(report.snapshot.version, 1);
-    assert_eq!(report.snapshot.facets.len(), 1);
-    assert_eq!(report.snapshot.facets[0].name, "fused");
+#[test]
+fn migrate_reproduces_each_fixture_bit_for_bit_as_v4() {
+    let dir = tmp_dir("convert");
+    for (name, from, journalled) in FIXTURES {
+        let path = dir.join(name);
+        install(name, &path);
+        let report = migrate_store(&path).unwrap();
+        assert_eq!(report.from, from);
+        assert!(report.migrated);
+        assert_eq!((report.replayed, report.skipped), (journalled, 0), "{name}");
+        assert_eq!(report.count, 40 + journalled);
 
-    // journal one post-snapshot ingest, as a v1-era writer would have
-    // (the frame format did not change between versions)
-    let fresh = random_vectors(1, 8, 8).pop().unwrap();
-    IndexStore::open(&path).append_journal(40, &fresh).unwrap();
+        // the journals were folded in and retired; the store is clean v4
+        let store = IndexStore::open(&path);
+        assert!(!store.journal_path().exists() && !store.side_journal_path().exists());
+        let verify = store.verify();
+        assert!(verify.ok, "{name}: {verify:?}");
+        assert_eq!(verify.snapshot.format, "v4");
+        assert_eq!(verify.tail_records, 0);
 
-    // opening through the new faceted store is a migration, not a
-    // rejection: the journal replays and the layout falls back to fused
+        // vectors, centroids, lists, layout, scales and codes: the JSON
+        // form prints every f32 exactly, so string equality is bit equality
+        let recovery = store.load().unwrap();
+        assert_eq!(recovery.replayed, 0);
+        assert_eq!(recovery.index.to_json().unwrap(), expected(name), "{name}");
+        let reference = AnnIndex::from_json(&expected(name)).unwrap();
+        for q in random_vectors(5, 8, 9) {
+            assert_eq!(recovery.index.search(&q, 10), reference.search(&q, 10), "{name}");
+        }
+    }
+    // what the fixtures were chosen to cover actually got covered
+    let v3 = IndexStore::open(dir.join("v3.snap")).load().unwrap().index;
+    assert!(v3.is_quantized() && v3.has_facets() && !v3.is_flat());
+    let v2 = IndexStore::open(dir.join("v2.snap")).load().unwrap().index;
+    assert!(!v2.is_quantized() && v2.has_facets() && !v2.is_flat());
+    let v1 = IndexStore::open(dir.join("v1.snap")).load().unwrap().index;
+    assert!(!v1.has_facets() && v1.is_flat());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn migrate_on_a_v4_store_is_a_no_op() {
+    let dir = tmp_dir("noop");
+    let path = dir.join("v3.snap");
+    install("v3.snap", &path);
+    migrate_store(&path).unwrap();
+    // a live v4 store: snapshot plus one journal record
+    let mut store = IndexStore::open(&path);
+    store.append_journal(45, &random_vectors(1, 8, 3)[0]).unwrap();
+    let (snapshot, journal) =
+        (std::fs::read(&path).unwrap(), std::fs::read(store.journal_path()).unwrap());
+    let report = migrate_store(&path).unwrap();
+    assert_eq!(report.from, "v4");
+    assert!(!report.migrated);
+    assert_eq!(report.count, 46);
+    assert_eq!(std::fs::read(&path).unwrap(), snapshot);
+    assert_eq!(std::fs::read(store.journal_path()).unwrap(), journal);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_families_migrate_shard_by_shard() {
+    let dir = tmp_dir("family");
+    let base = dir.join("family.snap");
+    ShardManifest { version: 1, shards: 2, dim: 8 }.save(&base).unwrap();
+    install("v3.snap", &shard_snapshot_path(&base, 0));
+    install("v2.snap", &shard_snapshot_path(&base, 1));
+
+    let Err(err) = ShardRouter::open(&base, ShardConfig::default()) else {
+        panic!("a legacy family must not open");
+    };
+    assert!(err.to_string().contains("sem index migrate"), "{err}");
+
+    let reports = migrate(&base).unwrap();
+    let found: Vec<(&str, usize)> = reports.iter().map(|r| (r.from.as_str(), r.count)).collect();
+    assert_eq!(found, vec![("v3", 45), ("v2", 40)]);
+    assert!(verify_sharded(&base).unwrap().ok);
+    let (router, _) = ShardRouter::open(&base, ShardConfig::default()).unwrap();
+    assert_eq!(router.len(), 85);
+    for (shard, name) in [(0, "v3.snap"), (1, "v2.snap")] {
+        let json = router.shard(shard).with_index(|i| i.to_json().unwrap()).unwrap();
+        assert_eq!(json, expected(name));
+    }
+    // second pass: nothing left to do
+    assert!(migrate(&base).unwrap().iter().all(|r| !r.migrated && r.from == "v4"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `migrate` lands the v4 snapshot before it deletes the journals it
+/// folded in. A crash between the two leaves a v4 snapshot beside
+/// journals whose every record it already holds; replay skips them, so the
+/// store opens as it is and nothing needs re-running.
+#[test]
+fn an_interrupted_migrate_leaves_a_store_that_opens() {
+    let dir = tmp_dir("interrupted");
+    let done = dir.join("done.snap");
+    install("v1.snap", &done);
+    migrate_store(&done).unwrap();
+    let path = dir.join("crashed.snap");
+    install("v1.snap", &path);
+    std::fs::copy(&done, &path).unwrap();
+
     let recovery = IndexStore::open(&path).load().unwrap();
-    assert_eq!(recovery.replayed, 1);
-    assert_eq!(recovery.skipped, 0);
-    assert!(!recovery.discarded_tail);
-    let migrated = recovery.index;
-    assert!(!migrated.has_facets());
-    assert_eq!(migrated.layout(), FacetLayout::fused(8));
-
-    // identical top-k to the pre-migration index grown the same way
-    reference.insert(fresh);
-    assert_eq!(migrated.len(), reference.len());
-    for q in random_vectors(5, 8, 9) {
-        assert_eq!(migrated.search(&q, 10), reference.search(&q, 10));
-    }
-
-    // the next snapshot rewrites the store at the current version (v3)
-    // and compacts the journal
-    IndexStore::open(&path).save_snapshot(&migrated).unwrap();
-    let report = IndexStore::open(&path).verify();
-    assert!(report.ok, "{report:?}");
-    assert_eq!(report.snapshot.format, "v3");
-    assert_eq!(report.snapshot.version, 3);
-    assert_eq!(report.snapshot.count, 41);
-    assert!(!report.journal.present, "save_snapshot compacts the journal");
-
+    assert_eq!((recovery.replayed, recovery.skipped), (0, 2));
+    assert_eq!(recovery.index.to_json().unwrap(), expected("v1.snap"));
+    let report = migrate_store(&path).unwrap();
+    assert_eq!((report.from.as_str(), report.migrated, report.count), ("v4", false, 42));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn v2_faceted_snapshot_opens_unquantized_and_resaves_as_v3() {
-    let dir = tmp_dir("v2-open");
-    let path = dir.join("index.snap");
-    let vectors = random_vectors(60, 9, 21);
-    let reference =
-        AnnIndex::try_build(vectors, flat()).unwrap().with_layout(FacetLayout::sem(3)).unwrap();
-    IndexStore::open(&path).save_snapshot(&reference).unwrap();
-    rewrite_as_v2(&path);
-
-    // the fixture self-identifies as v2, verifies clean, and reports its
-    // facet checksums but no quant checksums (v2 predates the sidecar)
-    let report = IndexStore::open(&path).verify();
-    assert!(report.ok, "{report:?}");
-    assert_eq!(report.snapshot.format, "v2");
-    assert_eq!(report.snapshot.version, 2);
-    assert_eq!(report.snapshot.facets.len(), 3);
-    assert!(report.snapshot.quant.is_empty());
-
-    // opening is the v2→v3 migration: facets survive, quantization is
-    // simply absent, and top-k is byte-for-byte what the writer produced
-    let recovery = IndexStore::open(&path).load().unwrap();
-    let migrated = recovery.index;
-    assert!(migrated.has_facets());
-    assert!(!migrated.is_quantized());
-    assert_eq!(migrated.layout(), reference.layout());
-    for q in random_vectors(5, 9, 22) {
-        assert_eq!(migrated.search(&q, 10), reference.search(&q, 10));
-    }
-
-    // the next snapshot rewrites the store as v3
-    IndexStore::open(&path).save_snapshot(&migrated).unwrap();
-    let report = IndexStore::open(&path).verify();
-    assert!(report.ok, "{report:?}");
-    assert_eq!(report.snapshot.format, "v3");
-    assert_eq!(report.snapshot.version, 3);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn corrupt_sq8_codes_and_scales_stay_typed_errors() {
-    use serde_json::JsonValue;
-
-    let dir = tmp_dir("quant-corrupt");
-    let path = dir.join("index.snap");
-    let index = AnnIndex::try_build(random_vectors(50, 9, 31), flat())
-        .unwrap()
-        .with_layout(FacetLayout::sem(3))
-        .unwrap()
-        .with_sq8()
-        .unwrap();
-    IndexStore::open(&path).save_snapshot(&index).unwrap();
-
-    // a truncated code matrix (checksums dutifully recomputed, as a
-    // buggy writer would) must be rejected by the payload validator
-    let pristine = std::fs::read(&path).unwrap();
-    mutate_payload(&path, |value| match obj_field(obj_field(value, "quant"), "codes") {
-        JsonValue::Arr(codes) => {
-            codes.pop();
-        }
-        other => panic!("expected array, got {}", other.kind()),
-    });
-    let err = IndexStore::open(&path).load().unwrap_err();
-    assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{err}");
-    assert!(err.to_string().contains("quant codes"), "{err}");
-    assert!(!IndexStore::open(&path).verify().ok);
-
-    // a negative quantization step is equally fatal
-    std::fs::write(&path, &pristine).unwrap();
-    mutate_payload(&path, |value| match obj_field(obj_field(value, "quant"), "scales") {
-        JsonValue::Arr(scales) => {
-            *obj_field(&mut scales[0], "delta") = JsonValue::Float(-1.0);
-        }
-        other => panic!("expected array, got {}", other.kind()),
-    });
-    let err = IndexStore::open(&path).load().unwrap_err();
-    assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{err}");
-    assert!(err.to_string().contains("negative step"), "{err}");
-    assert!(!IndexStore::open(&path).verify().ok);
-
-    // the pristine bytes still load, proving the harness only broke what
-    // it meant to break
-    std::fs::write(&path, &pristine).unwrap();
-    assert!(IndexStore::open(&path).load().unwrap().index.is_quantized());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn corrupt_header_and_future_versions_stay_typed_errors() {
+fn corrupt_legacy_stores_stay_typed_errors_and_untouched() {
     let dir = tmp_dir("corrupt");
-    let path = dir.join("index.snap");
-    let index = AnnIndex::try_build(random_vectors(20, 6, 11), flat()).unwrap();
-    IndexStore::open(&path).save_snapshot(&index).unwrap();
-    rewrite_as_v1(&path);
+    let path = dir.join("v3.snap");
+    install("v3.snap", &path);
+    let pristine = std::fs::read(&path).unwrap();
 
-    // flip one header byte: the header checksum must catch it
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[13] ^= 0xff;
+    // one flipped payload byte: the legacy payload checksum catches it
+    let mut bytes = pristine.clone();
+    *bytes.last_mut().unwrap() ^= 0x08;
     std::fs::write(&path, &bytes).unwrap();
-    let err = IndexStore::open(&path).load().unwrap_err();
+    let err = migrate_store(&path).unwrap_err();
     assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{err}");
-    let report = IndexStore::open(&path).verify();
-    assert!(!report.ok);
-    assert!(report.snapshot.facets.is_empty(), "no checksums from a corrupt store");
+    assert!(err.to_string().contains("payload checksum mismatch"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "a failed migrate writes nothing");
 
     // a version from the future (valid checksums) is rejected, not guessed at
-    bytes[13] ^= 0xff; // restore
-    let payload_len = bytes.len() - 44;
+    let mut bytes = pristine;
     bytes[8..12].copy_from_slice(&9u32.to_le_bytes());
-    let payload_crc = crc32(&bytes[44..]);
-    bytes[36..40].copy_from_slice(&payload_crc.to_le_bytes());
-    let _ = payload_len;
     let header_crc = crc32(&bytes[..40]);
     bytes[40..44].copy_from_slice(&header_crc.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
-    let err = IndexStore::open(&path).load().unwrap_err();
+    let err = migrate_store(&path).unwrap_err();
     assert!(matches!(err, ServeError::CorruptSnapshot { .. }), "{err}");
-
+    assert!(err.to_string().contains("unsupported format version 9"), "{err}");
+    assert!(IndexStore::open(&path).journal_path().exists());
     std::fs::remove_dir_all(&dir).ok();
 }
