@@ -35,11 +35,25 @@
 //! cost recall (a true neighbour missing from the top `C`), never score
 //! fidelity. The f32 vectors are retained for the rescore and for
 //! stage-2 reranking, which is untouched.
+//!
+//! **Exact flat scan.** A flat, unquantized index also holds its vectors
+//! as a lane-blocked matrix ([`sem_tensor::blocked`]): eight rows per
+//! block, dimension-major, scanned eight lanes at a time with each lane
+//! doing the row dot's own multiplies and adds in the same order, so every
+//! non-NaN score has the bits of the row-at-a-time dot. Candidates go straight
+//! into a bounded top-`k` heap instead of a vector of every hit. The
+//! matrix is derived state: built with the index (and on load), extended
+//! by insert, dropped when the index is quantized or clustered, and never
+//! persisted.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::time::Instant;
 
 use rayon::prelude::*;
-use sem_tensor::kmeans as tkmeans;
+use sem_tensor::blocked::{BlockedMatrix, LANES};
+use sem_tensor::kmeans::{self as tkmeans, nearest_centroid, normalize};
 use sem_tensor::quant::{self, Sq8Scale};
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +65,10 @@ pub(crate) mod snapshot;
 /// Vectors scanned between deadline checks in flat (brute-force) mode —
 /// coarse enough that the `Instant::now` calls cost nothing against the
 /// scan itself, fine enough that an exhausted budget stops within
-/// microseconds.
+/// microseconds. A whole number of blocks of the flat scan layout, so no
+/// block is scored twice across strides.
 const FLAT_DEADLINE_STRIDE: usize = 1024;
+const _: () = assert!(FLAT_DEADLINE_STRIDE.is_multiple_of(LANES));
 
 /// Floor on the exact-rescore pool of a quantized search: stage 0 keeps
 /// `max(DEFAULT_RESCORE, 4·k)` code-scored candidates for the f32
@@ -103,7 +119,11 @@ pub struct Hit {
 /// follows the same pattern: SQ8 codes + scales when quantized scan mode
 /// is enabled, absent otherwise. Both are optional in the JSON form too
 /// (serde tolerates their absence), which is how pre-v4 payloads read.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// `blocked` is the f32 scan layout: `vectors` again, lane-blocked, held
+/// exactly when the index is flat and unquantized. It is derived, so the
+/// JSON form and the snapshot carry only the fields above it.
+#[derive(Clone, Debug)]
 pub struct AnnIndex {
     config: IndexConfig,
     dim: usize,
@@ -113,6 +133,43 @@ pub struct AnnIndex {
     generation: u64,
     layout: Option<FacetLayout>,
     quant: Option<Sq8Data>,
+    blocked: Option<BlockedMatrix>,
+}
+
+impl Serialize for AnnIndex {
+    fn ser(&self) -> serde::Value {
+        serde::Value::Obj(vec![
+            ("config".into(), self.config.ser()),
+            ("dim".into(), self.dim.ser()),
+            ("vectors".into(), self.vectors.ser()),
+            ("centroids".into(), self.centroids.ser()),
+            ("lists".into(), self.lists.ser()),
+            ("generation".into(), self.generation.ser()),
+            ("layout".into(), self.layout.ser()),
+            ("quant".into(), self.quant.ser()),
+        ])
+    }
+}
+
+/// Validates the shape invariants and derives the scan layout: a
+/// deserialized index is always a usable one.
+impl Deserialize for AnnIndex {
+    fn de(v: &serde::Value) -> Result<Self, serde::Error> {
+        let obj = v.as_obj().ok_or_else(|| serde::Error::expected("object", v))?;
+        AnnIndex {
+            config: serde::field(obj, "config")?,
+            dim: serde::field(obj, "dim")?,
+            vectors: serde::field(obj, "vectors")?,
+            centroids: serde::field(obj, "centroids")?,
+            lists: serde::field(obj, "lists")?,
+            generation: serde::field(obj, "generation")?,
+            layout: serde::field(obj, "layout")?,
+            quant: serde::field(obj, "quant")?,
+            blocked: None,
+        }
+        .loaded()
+        .map_err(serde::Error)
+    }
 }
 
 /// SQ8 sidecar of a quantized index: the per-segment scales fitted at
@@ -131,6 +188,24 @@ struct Sq8Data {
 impl Sq8Data {
     fn codes_of(&self, id: usize, dim: usize) -> &[u8] {
         &self.codes[id * dim..(id + 1) * dim]
+    }
+
+    /// Stage-0 code scores of the ids in `rows`, appended to `scored`:
+    /// walks the code matrix sequentially, the access pattern the SSE2
+    /// kernel's speedup lives on.
+    fn scan_range(
+        &self,
+        dim: usize,
+        rows: Range<usize>,
+        prepared: &quant::Sq8Query,
+        scored: &mut Vec<Hit>,
+    ) {
+        scored.extend(
+            self.codes[rows.start * dim..rows.end * dim]
+                .chunks_exact(dim)
+                .zip(rows)
+                .map(|(row, id)| Hit { id, score: prepared.score(row) }),
+        );
     }
 }
 
@@ -193,32 +268,8 @@ pub struct ReclusterReport {
     pub routed_tail: usize,
 }
 
-/// L2-normalises in place; an all-zero vector is left as-is.
-fn normalize(v: &mut [f32]) {
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if norm > 1e-12 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
-    }
-}
-
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Index of the centroid nearest to `v` (highest inner product).
-fn nearest_centroid(centroids: &[Vec<f32>], v: &[f32]) -> usize {
-    let mut best = 0;
-    let mut best_score = f32::NEG_INFINITY;
-    for (c, cen) in centroids.iter().enumerate() {
-        let s = dot(cen, v);
-        if s > best_score {
-            best_score = s;
-            best = c;
-        }
-    }
-    best
 }
 
 /// Resolved cell count for `n` vectors under `config`: `~sqrt(n)` when
@@ -227,14 +278,91 @@ fn resolved_nlist(config: &IndexConfig, n: usize) -> usize {
     if config.nlist == 0 { (n as f64).sqrt().round() as usize } else { config.nlist }.clamp(1, n)
 }
 
+/// The result order: score desc by `total_cmp`, then id asc. `Less`
+/// means `a` ranks before `b`.
+fn rank(a: &Hit, b: &Hit) -> Ordering {
+    b.score.total_cmp(&a.score).then(a.id.cmp(&b.id))
+}
+
 /// Keeps the best `k` hits in `scored`, sorted score-desc (id asc on ties).
 fn top_k(scored: &mut Vec<Hit>, k: usize) {
     let k = k.min(scored.len());
     if k < scored.len() {
-        scored.select_nth_unstable_by(k, |a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        scored.select_nth_unstable_by(k, rank);
         scored.truncate(k);
     }
-    scored.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+    scored.sort_by(rank);
+}
+
+/// A hit ordered by [`rank`], so a max-heap of them has the worst on top.
+struct Ranked(Hit);
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        rank(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+/// Bounded top-`k` selection: holds at most `k` hits, the worst of them on
+/// top of a heap, so a candidate that does not make the cut costs one
+/// comparison and one that does costs O(log k).
+struct TopK {
+    k: usize,
+    heap: BinaryHeap<Ranked>,
+}
+
+impl TopK {
+    /// Room for the best `k` of at most `n` candidates; never allocates
+    /// more than `n` entries, whatever `k` is.
+    fn new(k: usize, n: usize) -> Self {
+        TopK { k, heap: BinaryHeap::with_capacity(k.min(n)) }
+    }
+
+    fn push(&mut self, hit: Hit) {
+        if self.heap.len() < self.k {
+            self.heap.push(Ranked(hit));
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if rank(&hit, &worst.0).is_lt() {
+                *worst = Ranked(hit);
+            }
+        }
+    }
+
+    /// The kept hits, best first.
+    fn into_sorted(self) -> Vec<Hit> {
+        self.heap.into_sorted_vec().into_iter().map(|r| r.0).collect()
+    }
+}
+
+/// Runs `scan` over the ids `0..n`: in one call without a deadline, else
+/// in `FLAT_DEADLINE_STRIDE` runs with the clock read between runs.
+/// Returns `true` when the deadline stopped the scan early.
+fn strided_scan(n: usize, deadline: Option<Instant>, mut scan: impl FnMut(Range<usize>)) -> bool {
+    let Some(deadline) = deadline else {
+        scan(0..n);
+        return false;
+    };
+    for start in (0..n).step_by(FLAT_DEADLINE_STRIDE) {
+        if start > 0 && Instant::now() >= deadline {
+            return true;
+        }
+        scan(start..(start + FLAT_DEADLINE_STRIDE).min(n));
+    }
+    false
 }
 
 impl AnnIndex {
@@ -273,7 +401,7 @@ impl AnnIndex {
             let nlist = resolved_nlist(&config, n);
             Self::kmeans(&vectors, nlist, config.kmeans_iters, config.seed)
         };
-        Ok(AnnIndex {
+        let mut index = AnnIndex {
             config,
             dim,
             vectors,
@@ -282,7 +410,21 @@ impl AnnIndex {
             generation: 0,
             layout: None,
             quant: None,
-        })
+            blocked: None,
+        };
+        index.sync_scan_layout();
+        Ok(index)
+    }
+
+    /// Builds or drops the f32 scan layout so that exactly the flat,
+    /// unquantized indexes hold one: a quantized flat scan reads the codes
+    /// and an IVF probe reads rows by id, so neither pays for a copy.
+    /// Called wherever the scan mode can change.
+    fn sync_scan_layout(&mut self) {
+        let wanted = self.is_flat() && self.quant.is_none();
+        if wanted != self.blocked.is_some() {
+            self.blocked = wanted.then(|| BlockedMatrix::from_rows(self.dim, &self.vectors));
+        }
     }
 
     /// Spherical k-means via the shared trainer in [`sem_tensor::kmeans`],
@@ -427,6 +569,7 @@ impl AnnIndex {
             codes.extend_from_slice(&buf);
         }
         self.quant = Some(Sq8Data { widths, scales, codes, rescore: DEFAULT_RESCORE });
+        self.sync_scan_layout();
         Ok(())
     }
 
@@ -449,7 +592,7 @@ impl AnnIndex {
     /// unquantized (no rescore stage runs).
     pub fn rescore_depth(&self, k: usize) -> usize {
         match &self.quant {
-            Some(sq) => sq.rescore.max(4 * k).min(self.vectors.len()),
+            Some(sq) => sq.rescore.max(k.saturating_mul(4)).min(self.vectors.len()),
             None => 0,
         }
     }
@@ -532,6 +675,9 @@ impl AnnIndex {
             quant::quantize_into(&vector, &sq.widths, &sq.scales, &mut buf);
             sq.codes.extend_from_slice(&buf);
         }
+        if let Some(blocked) = &mut self.blocked {
+            blocked.push(&vector);
+        }
         self.vectors.push(vector);
         self.generation += 1;
         Ok(id)
@@ -555,29 +701,6 @@ impl AnnIndex {
         }
     }
 
-    /// Stage-0 scores for the contiguous id range `start..end`, appended
-    /// to `scored`. Dispatches once per range instead of once per row:
-    /// the quantized arm walks the code matrix sequentially, which is
-    /// the access pattern the SSE2 kernel's speedup lives on.
-    fn stage0_scan_range(
-        &self,
-        scored: &mut Vec<Hit>,
-        start: usize,
-        end: usize,
-        q: &[f32],
-        prepared: Option<&quant::Sq8Query>,
-    ) {
-        match (&self.quant, prepared) {
-            (Some(sq), Some(prepared)) => scored.extend(
-                sq.codes[start * self.dim..end * self.dim]
-                    .chunks_exact(self.dim)
-                    .enumerate()
-                    .map(|(off, row)| Hit { id: start + off, score: prepared.score(row) }),
-            ),
-            _ => scored.extend((start..end).map(|id| Hit { id, score: dot(&self.vectors[id], q) })),
-        }
-    }
-
     /// Exact-rescore stage of a quantized search: keep the top
     /// [`AnnIndex::rescore_depth`] code-scored candidates and replace
     /// their scores with exact f32 dots, so whatever the caller's final
@@ -595,34 +718,7 @@ impl AnnIndex {
     /// ties).
     pub fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         assert_eq!(query.len(), self.dim, "query width mismatch");
-        let mut q = query.to_vec();
-        normalize(&mut q);
-        let prepared = self.quant_query(&q);
-        let prepared = prepared.as_ref();
-        let mut scored: Vec<Hit> = if self.is_flat() {
-            let mut scored = Vec::with_capacity(self.vectors.len());
-            self.stage0_scan_range(&mut scored, 0, self.vectors.len(), &q, prepared);
-            scored
-        } else {
-            let nprobe = if self.config.nprobe == 0 {
-                self.centroids.len().div_ceil(2)
-            } else {
-                self.config.nprobe
-            }
-            .clamp(1, self.centroids.len());
-            let mut cells: Vec<(f32, usize)> =
-                self.centroids.iter().enumerate().map(|(c, cen)| (dot(cen, &q), c)).collect();
-            cells.sort_by(|a, b| b.0.total_cmp(&a.0));
-            cells
-                .iter()
-                .take(nprobe)
-                .flat_map(|&(_, c)| self.lists[c].iter())
-                .map(|&id| Hit { id, score: self.stage0_score(id, &q, prepared) })
-                .collect()
-        };
-        self.rescore_exact(&mut scored, &q, k);
-        top_k(&mut scored, k);
-        scored
+        self.search_within(query, k, None).0
     }
 
     /// [`AnnIndex::search`] under a wall-clock deadline: when the budget
@@ -644,67 +740,95 @@ impl AnnIndex {
         if query.len() != self.dim {
             return Err(ServeError::DimensionMismatch { expected: self.dim, got: query.len() });
         }
-        let Some(deadline) = deadline else {
-            return Ok((self.search(query, k), false));
-        };
-        if Instant::now() >= deadline {
+        Ok(self.search_within(query, k, deadline))
+    }
+
+    /// The one search body. Stage 0 is, by mode: the lane-blocked f32 scan
+    /// into a bounded top-`k` (flat, unquantized: exact, so nothing
+    /// follows); the SQ8 code scan (flat, quantized); or the members of the
+    /// `nprobe` nearest cells (IVF). The last two keep every candidate,
+    /// then rescore (when quantized) and select. A deadline is checked
+    /// every `FLAT_DEADLINE_STRIDE` rows of a flat scan and before every
+    /// cell after the first; without one no clock is read.
+    fn search_within(
+        &self,
+        query: &[f32],
+        k: usize,
+        deadline: Option<Instant>,
+    ) -> (Vec<Hit>, bool) {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             // exhausted before any work: an empty partial result, flagged,
             // beats blocking or panicking
-            return Ok((Vec::new(), true));
+            return (Vec::new(), true);
         }
         let mut q = query.to_vec();
         normalize(&mut q);
+        let n = self.vectors.len();
+        debug_assert_eq!(self.blocked.is_some(), self.is_flat() && self.quant.is_none());
+        if let Some(blocked) = &self.blocked {
+            let mut top = TopK::new(k, n);
+            let degraded = strided_scan(n, deadline, |rows| {
+                blocked.scan_range(rows, &q, |id, score| top.push(Hit { id, score }));
+            });
+            return (top.into_sorted(), degraded);
+        }
         let prepared = self.quant_query(&q);
-        let prepared = prepared.as_ref();
-        let mut degraded = false;
-        let mut scored: Vec<Hit> = if self.is_flat() {
-            let mut scored = Vec::with_capacity(self.vectors.len());
-            for chunk_start in (0..self.vectors.len()).step_by(FLAT_DEADLINE_STRIDE) {
-                if chunk_start > 0 && Instant::now() >= deadline {
-                    degraded = true;
-                    break;
-                }
-                let end = (chunk_start + FLAT_DEADLINE_STRIDE).min(self.vectors.len());
-                self.stage0_scan_range(&mut scored, chunk_start, end, &q, prepared);
+        let (mut scored, degraded) = match (&self.quant, &prepared) {
+            (Some(sq), Some(prepared)) if self.is_flat() => {
+                let mut scored = Vec::with_capacity(n);
+                let degraded = strided_scan(n, deadline, |rows| {
+                    sq.scan_range(self.dim, rows, prepared, &mut scored);
+                });
+                (scored, degraded)
             }
-            scored
-        } else {
-            let nprobe = if self.config.nprobe == 0 {
-                self.centroids.len().div_ceil(2)
-            } else {
-                self.config.nprobe
-            }
-            .clamp(1, self.centroids.len());
-            let mut cells: Vec<(f32, usize)> =
-                self.centroids.iter().enumerate().map(|(c, cen)| (dot(cen, &q), c)).collect();
-            cells.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let probe_start = Instant::now();
-            let mut scored = Vec::new();
-            for (probed, &(_, c)) in cells.iter().take(nprobe).enumerate() {
-                if probed > 0 {
-                    // shrink the probe count when the budget is nearly
-                    // gone: stop if scanning another cell (at the average
-                    // cost observed so far) would overshoot the deadline
-                    let now = Instant::now();
-                    let avg_cell = probe_start.elapsed() / probed as u32;
-                    if now >= deadline || now + avg_cell > deadline {
-                        degraded = true;
-                        break;
-                    }
-                }
-                scored.extend(
-                    self.lists[c]
-                        .iter()
-                        .map(|&id| Hit { id, score: self.stage0_score(id, &q, prepared) }),
-                );
-            }
-            scored
+            _ => self.probe_cells(&q, prepared.as_ref(), deadline),
         };
         // the rescore pool is a few hundred dots at most — even a blown
         // budget affords it, and it keeps partial results exact-backed
         self.rescore_exact(&mut scored, &q, k);
         top_k(&mut scored, k);
-        Ok((scored, degraded))
+        (scored, degraded)
+    }
+
+    /// IVF stage 0: every member of the `nprobe` cells nearest the query,
+    /// nearest cell first, scored. Under a deadline the probe count
+    /// shrinks; the flag reports that it did.
+    fn probe_cells(
+        &self,
+        q: &[f32],
+        prepared: Option<&quant::Sq8Query>,
+        deadline: Option<Instant>,
+    ) -> (Vec<Hit>, bool) {
+        let nprobe = if self.config.nprobe == 0 {
+            self.centroids.len().div_ceil(2)
+        } else {
+            self.config.nprobe
+        }
+        .max(1)
+        .min(self.centroids.len());
+        let mut cells: Vec<(f32, usize)> =
+            self.centroids.iter().enumerate().map(|(c, cen)| (dot(cen, q), c)).collect();
+        cells.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let budget = deadline.map(|d| (d, Instant::now()));
+        let mut scored = Vec::new();
+        for (probed, &(_, c)) in cells.iter().take(nprobe).enumerate() {
+            if let Some((deadline, probe_start)) = budget.filter(|_| probed > 0) {
+                // shrink the probe count when the budget is nearly gone:
+                // stop if scanning another cell (at the average cost
+                // observed so far) would overshoot the deadline
+                let now = Instant::now();
+                let avg_cell = probe_start.elapsed() / probed as u32;
+                if now >= deadline || now + avg_cell > deadline {
+                    return (scored, true);
+                }
+            }
+            scored.extend(
+                self.lists[c]
+                    .iter()
+                    .map(|&id| Hit { id, score: self.stage0_score(id, q, prepared) }),
+            );
+        }
+        (scored, false)
     }
 
     /// Searches many queries rayon-parallel; result `i` answers query `i`.
@@ -806,6 +930,7 @@ impl AnnIndex {
                 // re-fit so stage-0 code error tracks the current data
                 self.enable_sq8()?;
             }
+            self.sync_scan_layout();
             self.generation += 1;
         }
         Ok(ReclusterReport {
@@ -852,15 +977,21 @@ impl AnnIndex {
     /// Returns an error for malformed JSON or internally inconsistent
     /// shapes.
     pub fn from_json(json: &str) -> Result<Self, String> {
-        let idx: AnnIndex = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        idx.validate()?;
-        Ok(idx)
+        serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+
+    /// The one exit of every decoder (the JSON form and the snapshot):
+    /// checks [`AnnIndex::validate`]'s invariants, then derives the scan
+    /// layout.
+    fn loaded(mut self) -> Result<Self, String> {
+        self.validate()?;
+        self.sync_scan_layout();
+        Ok(self)
     }
 
     /// The shape invariants every index read from outside the process
-    /// must satisfy, shared by [`AnnIndex::from_json`] and the snapshot
-    /// decoder: consistent widths, cell entries in range, and layout and
-    /// SQ8 geometry that match the vectors.
+    /// must satisfy: consistent widths, cell entries in range, and layout
+    /// and SQ8 geometry that match the vectors.
     fn validate(&self) -> Result<(), String> {
         if self.vectors.is_empty() {
             return Err("index holds no vectors".into());
@@ -1340,6 +1471,139 @@ mod tests {
         let plan = big.train_recluster();
         let mut small = AnnIndex::build(random_vectors(500, 8, 68), IndexConfig::default());
         assert!(matches!(small.install_recluster(plan), Err(ServeError::Invalid(_))));
+    }
+
+    /// Ids and score bits of a result, for exact comparison.
+    fn bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+        hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+    }
+
+    /// Every `k` the flat path has to get right: none, one, small, the
+    /// bench's 128, the rerank fetch of 200, all, and more than all.
+    fn probe_ks(len: usize) -> [usize; 7] {
+        [0, 1, 10, 128, 200, len, len + 5]
+    }
+
+    /// Random rows plus the cases a top-k gets wrong first: exact
+    /// duplicates, a 1-ulp perturbation, parallel rows that normalise to
+    /// near-identical vectors, and a zero row.
+    fn tie_heavy_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut v = random_vectors(n, dim, seed);
+        v[10] = v[3].clone();
+        v[11] = v[3].clone();
+        v[20] = v[3].clone();
+        v[20][0] = f32::from_bits(v[20][0].to_bits() + 1);
+        for i in 40..48 {
+            v[i] = v[5].iter().map(|x| x * (1 + i - 40) as f32).collect();
+        }
+        v[30] = vec![0.0; dim];
+        v
+    }
+
+    /// `search` equals the `search_exact` oracle in ids and score bits for
+    /// every probed `k`, on stored rows (duplicate ties), random rows and
+    /// the zero query (every score a signed zero).
+    fn assert_flat_is_exact(idx: &AnnIndex, step: &str) {
+        assert!(idx.blocked.is_some(), "{step}: a flat f32 index holds its scan layout");
+        assert_eq!(idx.blocked.as_ref().map(BlockedMatrix::len), Some(idx.len()), "{step}");
+        let mut queries = random_vectors(4, idx.dim(), 90);
+        queries.extend([3usize, 5, 30].iter().map(|&id| idx.vector(id).to_vec()));
+        queries.push(vec![0.0; idx.dim()]);
+        for (qi, q) in queries.iter().enumerate() {
+            for k in probe_ks(idx.len()) {
+                let want = idx.search_exact(q, k);
+                assert_eq!(bits(&idx.search(q, k)), bits(&want), "{step}: q{qi} k={k}");
+                let far = Instant::now() + std::time::Duration::from_secs(60);
+                let (hits, degraded) = idx.search_deadline(q, k, Some(far)).unwrap();
+                assert!(!degraded);
+                assert_eq!(bits(&hits), bits(&want), "{step}: deadline q{qi} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn flat_search_is_the_exact_oracle_bit_for_bit() {
+        let cfg = IndexConfig { flat_threshold: 200, ..IndexConfig::default() };
+        let mut idx = AnnIndex::build(tie_heavy_vectors(150, 12, 91), cfg);
+        assert_flat_is_exact(&idx, "built");
+
+        for v in tie_heavy_vectors(60, 12, 92) {
+            idx.insert(v);
+        }
+        idx.insert(idx.vector(3).to_vec());
+        assert_flat_is_exact(&idx, "after inserts");
+
+        let bytes = snapshot::encode(&idx).unwrap();
+        let (header, _) = snapshot::parse(&bytes).unwrap();
+        assert_flat_is_exact(&header.decode(&bytes).unwrap(), "after v4 encode/decode");
+
+        // the layout is derived state: the JSON form is the persisted
+        // fields only, and reading it back rebuilds the layout
+        let json = idx.to_json().unwrap();
+        assert!(!json.contains("blocked"));
+        let back = AnnIndex::from_json(&json).unwrap();
+        assert_eq!(back.to_json().unwrap(), json);
+        assert_flat_is_exact(&back, "after JSON roundtrip");
+
+        // quantizing drops the layout; once the rescore pool covers the
+        // whole collection the quantized path is exact too
+        let mut sq8 = idx.clone();
+        sq8.enable_sq8().unwrap();
+        assert!(sq8.blocked.is_none(), "a quantized index holds no f32 scan layout");
+        let q = random_vectors(1, 12, 93).pop().unwrap();
+        for k in probe_ks(sq8.len()) {
+            if sq8.rescore_depth(k) == sq8.len() {
+                assert_eq!(bits(&sq8.search(&q, k)), bits(&idx.search_exact(&q, k)), "sq8 k={k}");
+            }
+        }
+
+        // 211 vectors outgrow flat_threshold 200: re-clustering leaves
+        // flat mode and drops the layout ...
+        let report = idx.recluster().unwrap();
+        assert!(report.changed && report.nlist > 0);
+        assert!(!idx.is_flat() && idx.blocked.is_none(), "an IVF index holds no f32 scan layout");
+        // ... and installing a flat plan (trained on a twin configured to
+        // stay flat) returns to flat mode with the layout rebuilt
+        let twin_cfg = IndexConfig { flat_threshold: usize::MAX, ..cfg };
+        let twin = AnnIndex::build(random_vectors(idx.len(), 12, 94), twin_cfg);
+        let report = idx.install_recluster(twin.train_recluster()).unwrap();
+        assert!(report.changed && report.nlist == 0);
+        assert_flat_is_exact(&idx, "after recluster back to flat");
+
+        // a scan of several deadline strides, the last one partial
+        let long = AnnIndex::build(tie_heavy_vectors(2500, 8, 99), twin_cfg);
+        assert_flat_is_exact(&long, "across deadline strides");
+    }
+
+    #[test]
+    fn huge_k_neither_overflows_nor_allocates_k() {
+        let flat = IndexConfig { flat_threshold: usize::MAX, ..IndexConfig::default() };
+        let indexes = [
+            ("flat f32", AnnIndex::build(random_vectors(300, 8, 95), flat)),
+            ("flat sq8", AnnIndex::build(random_vectors(300, 8, 96), flat).with_sq8().unwrap()),
+            (
+                "ivf sq8",
+                AnnIndex::build(random_vectors(1500, 8, 97), IndexConfig::default())
+                    .with_sq8()
+                    .unwrap(),
+            ),
+        ];
+        let q = random_vectors(1, 8, 98).pop().unwrap();
+        for (name, idx) in &indexes {
+            // a flat scan returns every vector; an IVF probe every vector
+            // in the probed cells, which is what `k = len` returns
+            let all = idx.search(&q, idx.len());
+            assert_eq!(all.len() == idx.len(), idx.is_flat(), "{name}");
+            for k in [1usize << 62, usize::MAX] {
+                if idx.is_quantized() {
+                    assert_eq!(idx.rescore_depth(k), idx.len(), "{name} k={k}");
+                }
+                assert_eq!(bits(&idx.search(&q, k)), bits(&all), "{name} k={k}");
+                let (hits, degraded) = idx.search_deadline(&q, k, None).unwrap();
+                assert!(!degraded);
+                assert_eq!(bits(&hits), bits(&all), "{name} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -354,8 +354,17 @@ impl Header {
             Some(Sq8Data { widths, scales, codes, rescore })
         };
 
-        let index = AnnIndex { config, dim, vectors, centroids, lists, generation, layout, quant };
-        index.validate()?;
-        Ok(index)
+        AnnIndex {
+            config,
+            dim,
+            vectors,
+            centroids,
+            lists,
+            generation,
+            layout,
+            quant,
+            blocked: None,
+        }
+        .loaded()
     }
 }

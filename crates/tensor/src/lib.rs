@@ -44,6 +44,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blocked;
 pub mod grad_check;
 pub mod kmeans;
 pub mod ops;
